@@ -2,83 +2,6 @@
 pointwise over closed permutation groups of the naturals, blockable by root
 obstructions over free groups."""
 
-from .perm import (
-    IDENTITY,
-    MATCHING_STRUCTURE,
-    TRIVIAL_STRUCTURE,
-    NoBound,
-    NotNull,
-    NullSequence,
-    Perm,
-    Structure,
-    cauchy_to_null,
-    check_null,
-    compose,
-    is_automorphism,
-    metric,
-)
-from .words import (
-    ArityError,
-    GroupOps,
-    Word,
-    WordSeq,
-    TRIVIAL_WORD,
-    canonicalize,
-    evaluate,
-    format_word,
-    nu_words,
-    parse_word,
-)
-from .scale import (
-    NotObeying,
-    ObeysWitness,
-    Scale,
-    build_scale,
-    check_witness,
-    find_witness,
-    make_witness,
-    obeys_certificate,
-    verify_scale,
-)
-from .solver import (
-    ApproxTable,
-    LimitAutomorphism,
-    PERM_OPS,
-    WitnessNotFound,
-    approx,
-    closure_check,
-    partial_products,
-    stabilization_bound,
-    verify_solution,
-    verify_stabilization,
-)
-from .freegrp import (
-    BadDSeq,
-    BlockSegment,
-    ChainState,
-    ForcedMismatch,
-    FreeElem,
-    FREE_OPS,
-    IdentityInput,
-    NoRoot,
-    NuPrefix,
-    ObeysSegment,
-    SubBasis,
-    ascending_generators,
-    block,
-    chain_run,
-    chain_step,
-    cyclic_reduce,
-    diagonalize,
-    enumerate_h,
-    h_elements,
-    has_root,
-    invert,
-    multiply,
-    no_root_exponent,
-    parse_free,
-    project,
-    reverify,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+from .freegrp import diagonalize, has_root, no_root_exponent, reverify
+from .scale import build_scale, check_witness, find_witness, obeys_certificate
+from .solver import LimitAutomorphism, approx, verify_solution

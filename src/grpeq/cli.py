@@ -6,8 +6,9 @@ the two-sided contrast experiment.  All reports are canonical JSON (sorted
 keys, two-space indent), so identical configurations produce identical
 bytes.
 
-Exit codes: 0 ok, 2 no obeys witness for some pair, 3 no stabilization
-witness for a queried point, 4 bad driving sequence, 5 verification failure.
+Exit codes: 0 ok, 1 other input error, 2 no obeys witness for some pair,
+3 no stabilization witness for a queried point, 4 bad driving sequence,
+5 verification failure.  Every error is one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .perm import (
     NoBound,
     NotNull,
     NullSequence,
+    ShortPrefix,
     null_sequence_from_json,
     structure_by_name,
 )
@@ -85,8 +87,7 @@ def cmd_scale(args) -> int:
 
 
 def _solve_report(d, nu_prefix, budget, window, depth):
-    nu = nu_from_json(nu_to_json(nu_prefix))
-    w = nu_words(nu)
+    w = nu_words(nu_prefix)
     s = build_scale(d, budget, 1)
     nw, mw = window
     up_to = max(nw + 1, mw)
@@ -107,10 +108,7 @@ def _solve_report(d, nu_prefix, budget, window, depth):
 
 def cmd_solve(args) -> int:
     d = _load_dseq(args.d)
-    nu_obj = _load_json(args.nu)
-    nu_prefix = list(nu_obj.get("prefix", []))
-    if nu_obj.get("tail", "zero") != "zero":
-        raise ValueError("only zero tails are supported")
+    nu_prefix = nu_from_json(_load_json(args.nu))
     report, _, _ = _solve_report(d, nu_prefix, args.budget, args.window, args.depth)
     report["command"] = "solve"
     report["config"] = {
@@ -124,30 +122,33 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report["equationCheck"] == "ok" else EXIT_VERIFY_FAILED
 
 
+def _enumeration(args):
+    basis = freegrp.SubBasis.first(args.basis)
+    return lambda r: freegrp.enumerate_h(basis, r)
+
+
+def _diagonal(s, args) -> freegrp.NuPrefix:
+    return freegrp.diagonalize(
+        freegrp.ascending_generators(), s, _enumeration(args), args.count
+    )
+
+
+def _audit(prefix, s, args) -> dict:
+    return freegrp.reverify(
+        prefix, freegrp.ascending_generators(), s, _enumeration(args), args.count
+    )
+
+
 def cmd_diagonalize(args) -> int:
     s = _load_scale(args.scale, args.budget)
-    basis = freegrp.SubBasis.first(args.basis)
-    prefix = freegrp.diagonalize(
-        freegrp.ascending_generators(),
-        s,
-        lambda r: freegrp.enumerate_h(basis, r),
-        args.count,
-    )
-    _emit(_dump(prefix.to_json()), args.out)
+    _emit(_dump(_diagonal(s, args).to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_verify_blocked(args) -> int:
     prefix = freegrp.NuPrefix.from_json(_load_json(args.nu))
     s = _load_scale(args.scale, args.budget) if args.scale or args.check_witnesses else None
-    basis = freegrp.SubBasis.first(args.basis)
-    report = freegrp.reverify(
-        prefix,
-        freegrp.ascending_generators(),
-        s,
-        lambda r: freegrp.enumerate_h(basis, r),
-        args.count,
-    )
+    report = _audit(prefix, s, args)
     report["command"] = "verify-blocked"
     report["config"] = {"basis": args.basis, "count": args.count, "nu": args.nu}
     _emit(_dump(report), args.out)
@@ -168,20 +169,8 @@ def cmd_contrast(args) -> int:
         closure_ok = closure_check(limit, structure, args.window[1])
         report["closure"] = "ok" if closure_ok else "violation"
 
-    basis = freegrp.SubBasis.first(args.basis)
-    prefix = freegrp.diagonalize(
-        freegrp.ascending_generators(),
-        s,
-        lambda r: freegrp.enumerate_h(basis, r),
-        args.count,
-    )
-    audit = freegrp.reverify(
-        prefix,
-        freegrp.ascending_generators(),
-        s,
-        lambda r: freegrp.enumerate_h(basis, r),
-        args.count,
-    )
+    prefix = _diagonal(s, args)
+    audit = _audit(prefix, s, args)
     blocked = audit["ok"]
 
     report["command"] = "contrast"
@@ -211,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grpeq",
         description="Word-equation systems over permutation groups versus free groups.",
         epilog=(
-            "exit codes: 0 ok, 2 not obeying, 3 witness not found, "
+            "exit codes: 0 ok, 1 input error, 2 not obeying, 3 witness not found, "
             "4 bad driving sequence, 5 verification failure"
         ),
     )
@@ -272,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "count", 0) < 0:
+            raise ValueError("--count must be a natural")
         return args.fn(args)
     except NotObeying as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -279,7 +270,7 @@ def main(argv=None) -> int:
     except WitnessNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WITNESS_NOT_FOUND
-    except (freegrp.BadDSeq, NotNull, NoBound) as exc:
+    except (freegrp.BadDSeq, NotNull, NoBound, ShortPrefix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DSEQ
     except (ValueError, OSError, KeyError) as exc:

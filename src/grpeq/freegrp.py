@@ -10,12 +10,13 @@ wide enough to host stabilization witnesses.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .scale import Scale, make_witness
-from .words import GroupOps, nu_words
+from .scale import Scale, find_witness, make_witness
+from .words import nu_words
 
 
 class IdentityInput(ValueError):
@@ -89,30 +90,11 @@ class FreeElem:
             out.extend((i, sign) for _ in range(abs(e)))
         return out
 
-    @classmethod
-    def from_units(cls, units: Iterable[tuple[int, int]]) -> "FreeElem":
-        return cls.from_syllables(units)
-
     def generators(self) -> set[int]:
         return {i for i, _ in self.letters}
 
     def __str__(self) -> str:
         return format_free(self)
-
-
-def multiply(a: FreeElem, b: FreeElem) -> FreeElem:
-    return a * b
-
-
-def invert(a: FreeElem) -> FreeElem:
-    return a.inverse()
-
-
-FREE_OPS = GroupOps(
-    multiply=multiply,
-    inverse=invert,
-    identity=FreeElem.identity(),
-)
 
 
 def format_free(g: FreeElem) -> str:
@@ -152,7 +134,7 @@ def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
             units = units[1:-1]
         else:
             break
-    return FreeElem.from_units(conj), FreeElem.from_units(units)
+    return FreeElem.from_syllables(conj), FreeElem.from_syllables(units)
 
 
 def has_root(g: FreeElem, t: int) -> Optional[FreeElem]:
@@ -174,7 +156,7 @@ def has_root(g: FreeElem, t: int) -> Optional[FreeElem]:
     block = units[: size // t]
     if block * t != units:
         return None
-    return conj * FreeElem.from_units(block) * conj.inverse()
+    return conj * FreeElem.from_syllables(block) * conj.inverse()
 
 
 def no_root_exponent(g: FreeElem) -> int:
@@ -239,7 +221,7 @@ def h_elements(z: SubBasis) -> Iterator[FreeElem]:
 
     def words_of_length(length: int, prefix: list[tuple[int, int]]) -> Iterator[FreeElem]:
         if len(prefix) == length:
-            yield FreeElem.from_units(prefix)
+            yield FreeElem.from_syllables(prefix)
             return
         for let in letters:
             if prefix and prefix[-1][0] == let[0] and prefix[-1][1] == -let[1]:
@@ -286,22 +268,13 @@ class NoRoot:
 
 
 @dataclass(frozen=True)
-class ForcedMismatch:
-    """Death reason reserved for verifiers that find a pinned value broken.
-
-    Forward chains never produce it themselves: each step either copies,
-    multiplies, or takes a root that exists uniquely or not at all.
-    """
-
-
-@dataclass(frozen=True)
 class ChainState:
     """Progress of a forward-determined solution chain.  Dead states stay
     dead; position records where death happened."""
 
     position: int
     residual: Optional[FreeElem]
-    reason: Union[NoRoot, ForcedMismatch, None] = None
+    reason: Optional[NoRoot] = None
 
     @property
     def is_alive(self) -> bool:
@@ -381,12 +354,9 @@ class NuPrefix:
     entries: list[int] = field(default_factory=list)
     log: list[Segment] = field(default_factory=list)
 
-    def nu(self) -> Callable[[int], int]:
-        entries = list(self.entries)
-        return lambda n: entries[n] if n < len(entries) else 0
-
     def word_seq(self):
-        return nu_words(self.nu())
+        """The word sequence of a snapshot of the entries."""
+        return nu_words(list(self.entries))
 
     def to_json(self) -> dict:
         return {
@@ -447,35 +417,6 @@ def block(
     return result
 
 
-def _zero_interval(
-    entries: list[int],
-    s: Scale,
-    n_star: int,
-    m_star: int,
-) -> tuple[int, int]:
-    """The lexicographically least (i0, i1) whose witness interval carries
-    only zeros once the prefix is extended with zeros.
-
-    Entries beyond the current prefix count as zeros because the caller
-    materializes them.  The search always terminates: as soon as the
-    interval starts past the prefix there is nothing left to collide with.
-    """
-
-    def length_at(i: int) -> int:
-        v = entries[i] if i < len(entries) else 0
-        return 1 + v if v >= 1 else 1
-
-    i0 = m_star + 1
-    while True:
-        j0 = s.value(i0)
-        total = sum(length_at(i) for i in range(n_star, j0 + 1))
-        i1 = max(i0 + total + 1, n_star + 1)
-        j1 = s.value(i1)
-        if all(entries[t] == 0 for t in range(j0, min(j1 + 1, len(entries)))):
-            return i0, i1
-        i0 += 1
-
-
 def diagonalize(
     d: DSeqLike,
     s: Scale,
@@ -491,16 +432,18 @@ def diagonalize(
     only at the very end, past every interval placed so far, so earlier
     witnesses stay valid; and because later rounds start their sums at a
     larger n*, one generous stretch ends up hosting most of them.
+
+    Each round's interval is the least witness for the entries so far read
+    with a zero tail; that search always ends (see find_witness), so its
+    bound is never reached.
     """
-    if nu_words([]).var_budget > s.budget:
-        raise ValueError("scale budget too small for the word family")
     prefix = NuPrefix()
     for r in range(count):
-        i0, i1 = _zero_interval(prefix.entries, s, r, r)
-        j1 = s.value(i1)
+        wit = find_witness(nu_words(prefix.entries), s, r, r, sys.maxsize)
+        j1 = s.value(wit.i1)
         if len(prefix.entries) < j1 + 1:
             prefix.entries.extend([0] * (j1 + 1 - len(prefix.entries)))
-        prefix.log.append(ObeysSegment(r, r, i0, i1))
+        prefix.log.append(ObeysSegment(r, r, wit.i0, wit.i1))
         prefix = block(enumeration(r), prefix, d, target=r)
     return prefix
 

@@ -13,11 +13,16 @@ from typing import Callable, Iterable, Optional, Sequence
 
 
 class NotNull(ValueError):
-    """A sequence meant to converge to the identity contains the identity."""
+    """A sequence meant to converge to the identity contains the identity,
+    or a Cauchy prefix leaves its last term without a partner."""
 
 
 class NoBound(ValueError):
     """No mover bound is available, or a declared bound fails on the prefix."""
+
+
+class ShortPrefix(IndexError):
+    """A term was asked for past the end of a finite driving prefix."""
 
 
 class Perm:
@@ -69,9 +74,6 @@ class Perm:
 
     def inverse_apply(self, m: int) -> int:
         return self._inv.get(m, m)
-
-    def __call__(self, m: int) -> int:
-        return self._map.get(m, m)
 
     def inverse(self) -> "Perm":
         inv = Perm()
@@ -188,7 +190,7 @@ class NullSequence:
         if n < 0:
             raise IndexError("negative index")
         if self.length is not None and n >= self.length:
-            raise IndexError(f"null sequence prefix has {self.length} terms, asked for {n}")
+            raise ShortPrefix(f"null sequence prefix has {self.length} terms, asked for {n}")
         return self._gen(n)
 
     def mover_bound(self, m: int) -> int:
@@ -247,6 +249,8 @@ def cauchy_to_null(c: Sequence[Perm]) -> NullSequence:
     cannot converge to the identity through non-identity terms.  The mover
     bound is computed from the supports of the resulting prefix.
     """
+    if len(c) % 2:
+        raise NotNull(f"cauchy prefix has odd length {len(c)}: c[{len(c) - 1}] has no partner")
     terms = []
     for n in range(len(c) // 2):
         d = compose(c[2 * n].inverse(), c[2 * n + 1])
@@ -291,10 +295,6 @@ class Structure:
     name: str
     check: Callable[[Perm], bool]
     check_window: Callable[[Callable[[int], int], int], bool]
-
-
-def is_automorphism(structure: Structure, f: Perm) -> bool:
-    return structure.check(f)
 
 
 def _matching_check(f: Perm) -> bool:

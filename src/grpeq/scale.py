@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .perm import NullSequence
-from .words import Word, WordSeq
+from .words import WordSeq
 
 
 class NotObeying(Exception):
@@ -148,32 +148,44 @@ class ObeysWitness:
         }
 
 
-def _cum_lengths(w: WordSeq, n_star: int, j0: int) -> tuple[int, ...]:
-    out = [0]
-    for i in range(n_star, j0):
-        out.append(out[-1] + w.gen(i).length())
-    return tuple(out)
+def _least_i1(w: WordSeq, s: Scale, n_star: int, i0: int, cum: list[int]) -> int:
+    """The least i1 that the order and length-sum clauses admit for i0.
+
+    cum holds the cumulative lengths of words n*, n*+1, ... and is extended
+    in place up to index j(i0) - n*, so a search that raises i0 reuses the
+    sums it already has.
+    """
+    j0 = s.value(i0)
+    for i in range(n_star + len(cum) - 1, j0):
+        cum.append(cum[-1] + w.gen(i).length())
+    return max(i0 + cum[-1] + w.gen(j0).length() + 1, n_star + 1)
+
+
+def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
+    """The first index in [j(i0), j(i1)] whose word is not trivial, or None."""
+    for t in range(s.value(i0), s.value(i1) + 1):
+        if not w.gen(t).is_trivial:
+            return t
+    return None
 
 
 def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysWitness:
     """Build and validate a witness for the given indices, raising ValueError
-    when any clause fails.  Used both by the searcher and by rechecks."""
+    when any clause fails.  Used by rechecks; find_witness applies the same
+    clauses."""
     if not (0 <= m_star < i0):
         raise ValueError("need m_star < i0")
     if not (0 <= n_star < i1):
         raise ValueError("need n_star < i1")
     if not i0 < i1:
         raise ValueError("need i0 < i1")
-    j0 = s.value(i0)
-    j1 = s.value(i1)
-    for t in range(j0, j1 + 1):
-        if not w.gen(t).is_trivial:
-            raise ValueError(f"word at {t} is not trivial")
-    cum = _cum_lengths(w, n_star, j0)
-    total = cum[-1] + w.gen(j0).length()
-    if not total < i1 - i0:
-        raise ValueError(f"length sum {total} does not beat gap {i1 - i0}")
-    return ObeysWitness(n_star, m_star, i0, i1, cum)
+    t = _first_nontrivial(w, s, i0, i1)
+    if t is not None:
+        raise ValueError(f"word at {t} is not trivial")
+    cum = [0]
+    if i1 < _least_i1(w, s, n_star, i0, cum):
+        raise ValueError(f"words {n_star}..{s.value(i0)} are too long for gap {i1 - i0}")
+    return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
 
 
 def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
@@ -198,19 +210,20 @@ def find_witness(
     For a fixed i0 the length-sum clause pins the least admissible i1; a
     larger i1 only widens the triviality interval, so when the least i1
     fails triviality no i1 works for that i0 and the search advances i0.
+    The least i1 grows with i0, so once it passes the bound the search ends.
+    When the words are trivial from some index on (nu_words over a list),
+    the search ends without the bound: once j(i0) reaches that index the
+    least i1 passes, so a bound of sys.maxsize is never reached.
     """
     if w.var_budget > s.budget:
         raise ValueError("word budget exceeds the scale budget")
+    cum = [0]
     for i0 in range(m_star + 1, search_bound + 1):
-        j0 = s.value(i0)
-        cum = _cum_lengths(w, n_star, j0)
-        total = cum[-1] + w.gen(j0).length()
-        i1 = max(i0 + total + 1, n_star + 1)
+        i1 = _least_i1(w, s, n_star, i0, cum)
         if i1 > search_bound:
-            continue
-        j1 = s.value(i1)
-        if all(w.gen(t).is_trivial for t in range(j0, j1 + 1)):
-            return ObeysWitness(n_star, m_star, i0, i1, cum)
+            break
+        if _first_nontrivial(w, s, i0, i1) is None:
+            return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
     return None
 
 

@@ -11,8 +11,6 @@ read off a single finite table.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .perm import IDENTITY, NullSequence, Perm, Structure, compose
 from .scale import ObeysWitness, Scale, find_witness
 from .words import GroupOps, WordSeq, evaluate
@@ -69,9 +67,10 @@ def stabilization_bound(wit: ObeysWitness, s: Scale) -> int:
 class LimitAutomorphism:
     """Pointwise access to the limit rows b*_n.
 
-    Every query (n, m) finds its own witness, reads the value off the table
-    at the witness's stabilization bound, and memoizes.  The memo is an
-    optimization only: cached and recomputed answers must coincide.
+    Every query (n, m) finds its own witness, reads the image and preimage
+    off the table at the witness's stabilization bound, and memoizes both.
+    The memo is an optimization only: cached and recomputed answers must
+    coincide.
     """
 
     def __init__(self, d: NullSequence, w: WordSeq, s: Scale, search_bound: int = 128):
@@ -79,38 +78,33 @@ class LimitAutomorphism:
         self.w = w
         self.s = s
         self.search_bound = search_bound
-        self._witnesses: dict[tuple[int, int], ObeysWitness] = {}
         self._tables: dict[int, ApproxTable] = {}
-        self._values: dict[tuple[int, int], int] = {}
-        self._inverse_values: dict[tuple[int, int], int] = {}
+        # (n, m) -> (image, preimage) of m under row n
+        self._points: dict[tuple[int, int], tuple[int, int]] = {}
 
     def witness(self, n: int, m: int) -> ObeysWitness:
-        key = (n, m)
-        if key not in self._witnesses:
-            wit = find_witness(self.w, self.s, n, m, self.search_bound)
-            if wit is None:
-                raise WitnessNotFound(n, m)
-            self._witnesses[key] = wit
-        return self._witnesses[key]
+        wit = find_witness(self.w, self.s, n, m, self.search_bound)
+        if wit is None:
+            raise WitnessNotFound(n, m)
+        return wit
 
     def table(self, k: int) -> ApproxTable:
         if k not in self._tables:
             self._tables[k] = approx(self.d, self.w, k)
         return self._tables[k]
 
-    def apply(self, n: int, m: int) -> int:
+    def _point(self, n: int, m: int) -> tuple[int, int]:
         key = (n, m)
-        if key not in self._values:
-            k = stabilization_bound(self.witness(n, m), self.s)
-            self._values[key] = self.table(k).row(n).apply(m)
-        return self._values[key]
+        if key not in self._points:
+            row = self.table(stabilization_bound(self.witness(n, m), self.s)).row(n)
+            self._points[key] = (row.apply(m), row.inverse_apply(m))
+        return self._points[key]
+
+    def apply(self, n: int, m: int) -> int:
+        return self._point(n, m)[0]
 
     def inverse_apply(self, n: int, m: int) -> int:
-        key = (n, m)
-        if key not in self._inverse_values:
-            k = stabilization_bound(self.witness(n, m), self.s)
-            self._inverse_values[key] = self.table(k).row(n).inverse_apply(m)
-        return self._inverse_values[key]
+        return self._point(n, m)[1]
 
 
 def _apply_word_pointwise(limit: LimitAutomorphism, n: int, m: int) -> int:
@@ -179,27 +173,3 @@ def closure_check(limit: LimitAutomorphism, structure: Structure, window: int) -
         if not structure.check_window(lambda m: limit.apply(n, m), window):
             return False
     return True
-
-
-def partial_products(word, xs, ys, ops: GroupOps) -> list:
-    """Left prefix products of the word's unit letters, identity first.
-
-    The list has word.length() + 1 entries; the last equals the full
-    evaluation.  Exposed for agreement tests on intermediate values.
-    """
-    from .words import ArityError
-
-    lx, ly = word.arities()
-    if lx > len(xs):
-        raise ArityError(f"word mentions x{lx} but only {len(xs)} parameters given")
-    if ly > len(ys):
-        raise ArityError(f"word mentions y{ly} but only {len(ys)} unknowns given")
-    acc = ops.identity
-    out = [acc]
-    for kind, index, exp in word.factors:
-        base = xs[index - 1] if kind == "x" else ys[index - 1]
-        step = base if exp > 0 else ops.inverse(base)
-        for _ in range(abs(exp)):
-            acc = ops.multiply(acc, step)
-            out.append(acc)
-    return out

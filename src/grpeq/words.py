@@ -176,15 +176,20 @@ def nu_words(nu: NuLike) -> WordSeq:
     return WordSeq(gen=gen, var_budget=1)
 
 
-def nu_from_json(obj: dict) -> Callable[[int], int]:
-    """Load {"prefix": [t0, t1, ...], "tail": "zero"} as a total sequence."""
+def nu_from_json(obj) -> list[int]:
+    """Validate {"prefix": [t0, t1, ...], "tail": "zero"} and return the
+    prefix, which nu_words reads as zero beyond its end."""
+    if not isinstance(obj, dict):
+        raise ValueError("an exponent sequence must be a JSON object")
     if obj.get("tail", "zero") != "zero":
         raise ValueError("only zero tails are supported")
-    prefix = list(obj.get("prefix", []))
+    prefix = obj.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ValueError("prefix must be a JSON list")
     for t in prefix:
-        if not isinstance(t, int) or t < 0:
-            raise ValueError("prefix entries must be naturals")
-    return lambda n: prefix[n] if n < len(prefix) else 0
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+            raise ValueError(f"prefix entries must be naturals, got {t!r}")
+    return list(prefix)
 
 
 def nu_to_json(prefix: Sequence[int]) -> dict:

@@ -62,7 +62,7 @@ def random_perm(rng, max_support=8, universe=24):
 
 def random_free(rng, gens=6, size=8):
     units = [(rng.randint(1, gens), rng.choice((1, -1))) for _ in range(rng.randint(0, size))]
-    return FreeElem.from_units(units)
+    return FreeElem.from_syllables(units)
 
 
 def reduced_words(num_gens, max_len):
@@ -77,7 +77,7 @@ def reduced_words(num_gens, max_len):
                         continue
                     grown.append(units + ((i, e),))
         frontier = grown
-        out.extend(FreeElem.from_units(u) for u in frontier)
+        out.extend(FreeElem.from_syllables(u) for u in frontier)
     return out
 
 

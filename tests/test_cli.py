@@ -87,6 +87,68 @@ def test_solve_rejects_nonzero_tail(tmp_path, capsys):
     assert "error" in err
 
 
+def one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "nu_obj",
+    [
+        [0, 1],  # not an object
+        {"prefix": [True, 0, 0], "tail": "zero"},  # boolean entry
+        {"prefix": [1.5], "tail": "zero"},  # non-integer entry
+        {"prefix": [0, -2], "tail": "zero"},  # negative entry
+    ],
+    ids=["list", "boolean", "non-integer", "negative"],
+)
+def test_solve_rejects_malformed_nu(tmp_path, capsys, nu_obj):
+    nu = write_json(tmp_path / "nu.json", nu_obj)
+    code, out, err = run(capsys, ["solve", "--nu", nu])
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+def test_negative_count_rejected(tmp_path, capsys):
+    nu = write_json(tmp_path / "nu.json", {"entries": [], "log": []})
+    for argv in (
+        ["scale"],
+        ["diagonalize"],
+        ["verify-blocked", "--nu", nu],
+        ["contrast"],
+    ):
+        code, out, err = run(capsys, argv + ["--count", "-3"])
+        assert code == 1, argv
+        assert out == ""
+        assert one_error_line(err)
+
+
+def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
+    d = write_json(
+        tmp_path / "d.json",
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, 1], [1, 1]]},
+    )
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", d])
+    assert code == 4
+    assert out == ""
+    assert one_error_line(err)
+    assert "prefix has 1 terms" in err
+
+
+def test_solve_odd_cauchy_exit(tmp_path, capsys):
+    pair = [[0, 1], [1, 0]]
+    d = write_json(
+        tmp_path / "d.json",
+        {"kind": "cauchy", "c": [pair, [[0, 1], [1, 0], [2, 3], [3, 2]], pair]},
+    )
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", d])
+    assert code == 4
+    assert out == ""
+    assert one_error_line(err)
+
+
 def test_diagonalize_verify_roundtrip(tmp_path, capsys):
     blob = tmp_path / "diag.json"
     code, _, _ = run(capsys, ["diagonalize", "--count", "5", "--out", str(blob)])

@@ -14,17 +14,15 @@ from grpeq.perm import (
 )
 from grpeq.scale import build_scale, find_witness
 from grpeq.solver import (
-    PERM_OPS,
     LimitAutomorphism,
     WitnessNotFound,
     approx,
     closure_check,
-    partial_products,
     stabilization_bound,
     verify_solution,
     verify_stabilization,
 )
-from grpeq.words import canonicalize, nu_words, parse_word, random_sparse_nu_prefix, xvar, yvar
+from grpeq.words import nu_words, random_sparse_nu_prefix
 
 D = NullSequence.transpositions()
 
@@ -137,7 +135,8 @@ def test_verify_solution_clean_window():
 def test_verify_solution_flags_corrupted_cache():
     L = LimitAutomorphism(D, nu_words([1]), fresh_scale())
     good = L.apply(0, 2)
-    L._values[(0, 2)] = good + 40
+    _, preimage = L._points[(0, 2)]
+    L._points[(0, 2)] = (good + 40, preimage)
     problems = verify_solution(L, 1, 4)
     assert any(p["n"] == 0 and p["m"] == 2 for p in problems)
     bad = next(p for p in problems if p["m"] == 2)
@@ -231,33 +230,3 @@ def test_closure_check_structures():
     prefix = random_sparse_nu_prefix(rng)
     L2 = LimitAutomorphism(D, nu_words(prefix), fresh_scale())
     assert closure_check(L2, MATCHING_STRUCTURE, 12)
-
-
-def test_partial_products_shape_and_ends():
-    w = parse_word("x1 y1^2")
-    xs = [Perm.transposition(2, 3)]
-    ys = [Perm.transposition(4, 5)]
-    steps = partial_products(w, xs, ys, PERM_OPS)
-    assert len(steps) == w.length() + 1
-    assert steps[0] == IDENTITY
-    assert steps[-1] == Perm.transposition(2, 3)
-    assert steps[1] == Perm.transposition(2, 3)
-    assert steps[2] == compose(Perm.transposition(2, 3), Perm.transposition(4, 5))
-
-
-def test_partial_products_consecutive_steps_are_units():
-    rng = random.Random(43)
-    pool = [Perm.transposition(2 * i, 2 * i + 1) for i in range(3)]
-    for _ in range(50):
-        factors = []
-        for _ in range(rng.randint(0, 5)):
-            kind = rng.choice("xy")
-            factors.append((kind, rng.randint(1, 2), rng.randint(-2, 2)))
-        w = canonicalize(factors)
-        xs = [rng.choice(pool) for _ in range(2)]
-        ys = [rng.choice(pool) for _ in range(2)]
-        steps = partial_products(w, xs, ys, PERM_OPS)
-        units = {p: None for p in pool}
-        for a, b in zip(steps, steps[1:]):
-            jump = compose(a.inverse(), b)
-            assert jump in units or jump.inverse() in units

@@ -1,0 +1,88 @@
+"""The one witness search against a brute-force oracle.
+
+find_witness serves both sides: the permutation side's certificates and
+the intervals diagonalize lays down.  The oracle tries every pair (i0, i1)
+through make_witness in lexicographic order, with no shortcut.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from grpeq.freegrp import ObeysSegment, SubBasis, ascending_generators, diagonalize, enumerate_h
+from grpeq.perm import NullSequence
+from grpeq.scale import Scale, build_scale, find_witness, make_witness
+from grpeq.words import nu_words
+
+D = NullSequence.transpositions()
+ASC = ascending_generators()
+SEARCH = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def least_pair(w, s, n_star, m_star, bound):
+    """The lexicographically least (i0, i1) with i1 <= bound that
+    make_witness accepts, or None."""
+    for i0 in range(bound + 1):
+        for i1 in range(bound + 1):
+            try:
+                make_witness(w, s, n_star, m_star, i0, i1)
+            except ValueError:
+                continue
+            return i0, i1
+    return None
+
+
+def found_pair(w, s, n_star, m_star, bound):
+    wit = find_witness(w, s, n_star, m_star, bound)
+    return None if wit is None else (wit.i0, wit.i1)
+
+
+def enumeration(basis):
+    sub = SubBasis.first(basis)
+    return lambda r: enumerate_h(sub, r)
+
+
+@SEARCH
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=30),
+    budget=st.integers(1, 3),
+    gaps=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    n_star=st.integers(0, 6),
+    m_star=st.integers(0, 6),
+)
+def test_find_witness_is_least_pair(entries, budget, gaps, n_star, m_star):
+    # an irregular scale: every gap clears the budget by a drawn margin
+    values = [0]
+    for g in gaps:
+        values.append(values[-1] + budget + 1 + g)
+    s = Scale.from_values(values, budget)
+    w = nu_words(entries)
+    bound = len(values) - 1
+    assert found_pair(w, s, n_star, m_star, bound) == least_pair(w, s, n_star, m_star, bound)
+
+
+@SEARCH
+@given(
+    count=st.integers(1, 8),
+    basis=st.integers(1, 4),
+    cut=st.integers(0, 200),
+    n_star=st.integers(0, 8),
+    m_star=st.integers(0, 8),
+)
+def test_find_witness_is_least_pair_on_diagonal_prefixes(count, basis, cut, n_star, m_star):
+    s = build_scale(D, 1, 1)
+    entries = diagonalize(ASC, s, enumeration(basis), count).entries
+    w = nu_words(entries[: cut % (len(entries) + 1)])
+    assert found_pair(w, s, n_star, m_star, 40) == least_pair(w, s, n_star, m_star, 40)
+
+
+def test_diagonalize_logs_least_pairs():
+    for budget, basis, count in [(1, 4, 8), (1, 1, 6), (2, 2, 6), (3, 6, 5)]:
+        s = build_scale(D, budget, 1)
+        log = diagonalize(ASC, s, enumeration(basis), count).log
+        segments = [seg for seg in log if isinstance(seg, ObeysSegment)]
+        assert len(segments) == count
+        for r, seg in enumerate(segments):
+            # round r searches the entries that the first r rounds left
+            before = diagonalize(ASC, s, enumeration(basis), r).entries
+            want = least_pair(nu_words(before), s, r, r, 80)
+            assert want is not None
+            assert (seg.n_star, seg.m_star, seg.i0, seg.i1) == (r, r) + want

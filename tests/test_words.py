@@ -180,7 +180,8 @@ def test_nu_json_roundtrip():
     blob = nu_to_json(nu)
     assert blob == {"prefix": [0, 2, 0, 1], "tail": "zero"}
     loaded = nu_from_json(blob)
-    assert [loaded(n) for n in range(6)] == [0, 2, 0, 1, 0, 0]
+    assert loaded == nu
+    assert [nu_at(loaded, n) for n in range(6)] == [0, 2, 0, 1, 0, 0]
     with pytest.raises(ValueError):
         nu_from_json({"prefix": [0], "tail": "ones"})
     with pytest.raises(ValueError):
