@@ -6,9 +6,11 @@ the two-sided contrast experiment.  All reports are canonical JSON (sorted
 keys, two-space indent), so identical configurations produce identical
 bytes.
 
-Exit codes: 0 ok, 1 other input error, 2 no obeys witness for some pair,
-3 no stabilization witness for a queried point, 4 bad driving sequence,
-5 verification failure.  Every error is one "error:" line on stderr.
+Exit codes: 0 ok, 1 other input error (among them a --scale file with
+fewer entries than the run reads: the line names both counts), 2 no obeys
+witness for some pair, 3 no stabilization witness for a queried point,
+4 bad driving sequence, 5 verification failure.  Every error is one
+"error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import freegrp
@@ -28,7 +31,7 @@ from .perm import (
     null_sequence_from_json,
     structure_by_name,
 )
-from .scale import NotObeying, Scale, build_scale, obeys_certificate
+from .scale import NotObeying, Scale, ShortScale, build_scale, obeys_certificate
 from .solver import LimitAutomorphism, WitnessNotFound, closure_check, verify_solution
 from .words import nu_from_json, nu_to_json, nu_words, random_sparse_nu_prefix
 
@@ -123,32 +126,29 @@ def cmd_solve(args) -> int:
 
 
 def _enumeration(args):
+    """The first --count elements of H, enumerated once and read by index."""
     basis = freegrp.SubBasis.first(args.basis)
-    return lambda r: freegrp.enumerate_h(basis, r)
+    return list(islice(freegrp.h_elements(basis), args.count)).__getitem__
 
 
-def _diagonal(s, args) -> freegrp.NuPrefix:
-    return freegrp.diagonalize(
-        freegrp.ascending_generators(), s, _enumeration(args), args.count
-    )
+def _diagonal(s, h, args) -> freegrp.NuPrefix:
+    return freegrp.diagonalize(freegrp.ascending_generators(), s, h, args.count)
 
 
-def _audit(prefix, s, args) -> dict:
-    return freegrp.reverify(
-        prefix, freegrp.ascending_generators(), s, _enumeration(args), args.count
-    )
+def _audit(prefix, s, h, args) -> dict:
+    return freegrp.reverify(prefix, freegrp.ascending_generators(), s, h, args.count)
 
 
 def cmd_diagonalize(args) -> int:
     s = _load_scale(args.scale, args.budget)
-    _emit(_dump(_diagonal(s, args).to_json()), args.out)
+    _emit(_dump(_diagonal(s, _enumeration(args), args).to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_verify_blocked(args) -> int:
     prefix = freegrp.NuPrefix.from_json(_load_json(args.nu))
     s = _load_scale(args.scale, args.budget) if args.scale or args.check_witnesses else None
-    report = _audit(prefix, s, args)
+    report = _audit(prefix, s, _enumeration(args), args)
     report["command"] = "verify-blocked"
     report["config"] = {"basis": args.basis, "count": args.count, "nu": args.nu}
     _emit(_dump(report), args.out)
@@ -169,8 +169,9 @@ def cmd_contrast(args) -> int:
         closure_ok = closure_check(limit, structure, args.window[1])
         report["closure"] = "ok" if closure_ok else "violation"
 
-    prefix = _diagonal(s, args)
-    audit = _audit(prefix, s, args)
+    h = _enumeration(args)
+    prefix = _diagonal(s, h, args)
+    audit = _audit(prefix, s, h, args)
     blocked = audit["ok"]
 
     report["command"] = "contrast"
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except (freegrp.BadDSeq, NotNull, NoBound, ShortPrefix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DSEQ
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ShortScale) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

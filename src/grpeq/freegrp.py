@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .scale import Scale, find_witness, make_witness
-from .words import nu_words
+from .words import naturals, nu_words
 
 
 class IdentityInput(ValueError):
@@ -365,18 +365,26 @@ class NuPrefix:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "NuPrefix":
+    def from_json(cls, obj) -> "NuPrefix":
+        """Load the form to_json writes, raising ValueError (or KeyError for
+        a missing segment field) on anything else."""
+        if not isinstance(obj, dict):
+            raise ValueError("a diagonalization prefix must be a JSON object")
+        items = obj.get("log", [])
+        if not isinstance(items, list):
+            raise ValueError("log must be a JSON list")
         log: list[Segment] = []
-        for item in obj.get("log", []):
+        for item in items:
+            if not isinstance(item, dict):
+                raise ValueError(f"log items must be JSON objects, got {item!r}")
             if item.get("kind") == "obeys":
-                log.append(
-                    ObeysSegment(item["nStar"], item["mStar"], item["i0"], item["i1"])
-                )
+                fields = [item["nStar"], item["mStar"], item["i0"], item["i1"]]
+                log.append(ObeysSegment(*naturals(fields, "obeys segment fields")))
             elif item.get("kind") == "block":
                 log.append(BlockSegment(item["target"], item["exponent"]))
             else:
                 raise ValueError(f"unknown log segment {item!r}")
-        return cls(entries=list(obj.get("entries", [])), log=log)
+        return cls(entries=naturals(obj.get("entries", []), "entries"), log=log)
 
 
 def block(

@@ -6,10 +6,21 @@ where each step is the least value that (a) bounds the images of all earlier
 points under all earlier terms and their inverses, (b) dominates the mover
 bound of all earlier points, and (c) clears a configured budget gap.  The
 minimality of each step is what verify_scale rechecks.
+
+build_scale extends incrementally.  A point m < j_n that a term fixes only
+asks for m + 1 <= j_n, which clause (c) already exceeds, so only moved
+points count: each moved point m of term idx raises the bound to
+max(p(m), p^-1(m)) + 1 once, at the first entry where idx <= n and m < j_n,
+and stays in force because n and j_n only grow.  Clause (b) is a running
+maximum over the points j_n has passed.  Each entry therefore costs its new
+term's support and the points it newly passes, not every earlier term times
+every earlier point.  _next_scale_entry keeps the direct clause-by-clause
+rule as the oracle verify_scale recomputes with.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,16 +37,20 @@ class NotObeying(Exception):
         super().__init__(f"no witness for pair ({n_star}, {m_star})")
 
 
+class ShortScale(IndexError):
+    """An entry was asked for past the end of a loaded finite scale."""
+
+
 class Scale:
     """A materialized scale prefix, optionally backed by an extender that
-    computes further entries on demand.  Reads are pure: extending the memo
-    never changes previously returned values."""
+    returns the next entry each time it is called.  Reads are pure:
+    extending the memo never changes previously returned values."""
 
     def __init__(
         self,
         values: list[int],
         budget: int,
-        extend: Optional[Callable[[list[int]], int]] = None,
+        extend: Optional[Callable[[], int]] = None,
     ):
         self._values = list(values)
         self.budget = budget
@@ -46,10 +61,10 @@ class Scale:
             raise IndexError("negative scale index")
         while n >= len(self._values):
             if self._extend is None:
-                raise IndexError(
-                    f"scale prefix has {len(self._values)} entries, asked for {n}"
+                raise ShortScale(
+                    f"scale has {len(self._values)} loaded entries, asked for index {n}"
                 )
-            self._values.append(self._extend(self._values))
+            self._values.append(self._extend())
         return self._values[n]
 
     def prefix(self, count: int) -> list[int]:
@@ -96,13 +111,55 @@ def _next_scale_entry(d: NullSequence, budget: int, js: list[int]) -> int:
     return bound
 
 
+class _Extension:
+    """The rule of _next_scale_entry, kept as running state.
+
+    Each call returns the entry after the last one it returned, starting
+    from j_0 = 0.  Entry n+1 first fetches term n, so a short driving prefix
+    fails at the same entry as the direct rule; then it folds in the mover
+    bounds of the points below j_n not yet seen; then it releases from the
+    pending heap every moved point of a fetched term that j_n has passed.
+    A call that raises leaves the state consistent, so a retried read
+    raises the same error.
+    """
+
+    def __init__(self, d: NullSequence, budget: int):
+        self._d = d
+        self._budget = budget
+        self._last = 0  # j_n
+        self._terms = 0  # terms 0 .. _terms - 1 are fetched
+        self._reach = 0  # max(p(m), p^-1(m)) + 1 over released moved points
+        self._bounded = 0  # mover bounds of points below this are in _mover
+        self._mover = 0
+        self._pending: list[tuple[int, int]] = []  # (moved point, its reach)
+
+    def __call__(self) -> int:
+        jn = self._last
+        p = self._d.perm(self._terms)
+        while self._bounded < jn:
+            self._mover = max(self._mover, self._d.mover_bound(self._bounded))
+            self._bounded += 1
+        self._terms += 1
+        for m in p.support():
+            heapq.heappush(self._pending, (m, max(p.apply(m), p.inverse_apply(m)) + 1))
+        while self._pending and self._pending[0][0] < jn:
+            self._reach = max(self._reach, heapq.heappop(self._pending)[1])
+        self._last = max(jn + self._budget + 1, self._reach, self._mover)
+        return self._last
+
+
 def build_scale(d: NullSequence, budget: int, count: int) -> Scale:
     """Build the scale over d with the given budget, materializing count
-    entries.  The scale keeps d as its extender, so later entries can be
-    demanded lazily."""
+    entries.  Later entries are computed lazily on demand.
+
+    Entries come from _Extension: fixed points never raise the bound (a
+    fixed m < j_n gives m + 1 <= j_n), so each moved point enters once,
+    when both its term and j_n have passed it, and the mover-bound clause
+    is a prefix maximum.  verify_scale rechecks against the direct rule.
+    """
     if budget < 0:
         raise ValueError("budget must be a natural")
-    scale = Scale([0], budget, extend=lambda js: _next_scale_entry(d, budget, js))
+    scale = Scale([0], budget, extend=_Extension(d, budget))
     scale.prefix(count)
     return scale
 
@@ -153,9 +210,12 @@ def _least_i1(w: WordSeq, s: Scale, n_star: int, i0: int, cum: list[int]) -> int
 
     cum holds the cumulative lengths of words n*, n*+1, ... and is extended
     in place up to index j(i0) - n*, so a search that raises i0 reuses the
-    sums it already has.
+    sums it already has.  When j(i0) < n* no word lies between them and the
+    sum is empty, which keeps the result nondecreasing in i0.
     """
     j0 = s.value(i0)
+    if j0 < n_star:
+        return max(i0 + 1, n_star + 1)
     for i in range(n_star + len(cum) - 1, j0):
         cum.append(cum[-1] + w.gen(i).length())
     return max(i0 + cum[-1] + w.gen(j0).length() + 1, n_star + 1)
@@ -210,19 +270,29 @@ def find_witness(
     For a fixed i0 the length-sum clause pins the least admissible i1; a
     larger i1 only widens the triviality interval, so when the least i1
     fails triviality no i1 works for that i0 and the search advances i0.
-    The least i1 grows with i0, so once it passes the bound the search ends.
+    The least i1 does not decrease as i0 grows, so once it passes the bound
+    the search ends.  For the same reason, once the least i1 fails at a
+    nontrivial index t, every larger i0 with j(i0) <= t fails at t too: its
+    least i1 is no smaller, so [j(i0), j(least i1)] still holds t.  The
+    search passes those i0 without rescanning the words; it still reads
+    j(i0) and j(i1) for each, exactly as the scan would, so a finite loaded
+    scale runs out at the same index with or without the shortcut.
     When the words are trivial from some index on (nu_words over a list),
     the search ends without the bound: once j(i0) reaches that index the
-    least i1 passes, so a bound of sys.maxsize is never reached.
+    triviality clause passes, so a bound of sys.maxsize is never reached.
     """
     if w.var_budget > s.budget:
         raise ValueError("word budget exceeds the scale budget")
     cum = [0]
+    t = -1  # the last nontrivial index a scan found
     for i0 in range(m_star + 1, search_bound + 1):
         i1 = _least_i1(w, s, n_star, i0, cum)
         if i1 > search_bound:
             break
-        if _first_nontrivial(w, s, i0, i1) is None:
+        if s.value(i0) <= t <= s.value(i1):
+            continue
+        t = _first_nontrivial(w, s, i0, i1)
+        if t is None:
             return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
     return None
 

@@ -176,6 +176,17 @@ def nu_words(nu: NuLike) -> WordSeq:
     return WordSeq(gen=gen, var_budget=1)
 
 
+def naturals(values, what: str) -> list[int]:
+    """Check that a loaded JSON value is a list of naturals and return a
+    copy.  Booleans are rejected although Python counts them as ints."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON list")
+    for t in values:
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+            raise ValueError(f"{what} entries must be naturals, got {t!r}")
+    return list(values)
+
+
 def nu_from_json(obj) -> list[int]:
     """Validate {"prefix": [t0, t1, ...], "tail": "zero"} and return the
     prefix, which nu_words reads as zero beyond its end."""
@@ -183,13 +194,7 @@ def nu_from_json(obj) -> list[int]:
         raise ValueError("an exponent sequence must be a JSON object")
     if obj.get("tail", "zero") != "zero":
         raise ValueError("only zero tails are supported")
-    prefix = obj.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise ValueError("prefix must be a JSON list")
-    for t in prefix:
-        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-            raise ValueError(f"prefix entries must be naturals, got {t!r}")
-    return list(prefix)
+    return naturals(obj.get("prefix", []), "prefix")
 
 
 def nu_to_json(prefix: Sequence[int]) -> dict:

@@ -185,6 +185,46 @@ def test_verify_blocked_detects_tampering(tmp_path, capsys):
     assert report["survivor"] == 0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [0, 1],  # not an object
+        {"entries": [0, 2], "log": [7]},  # log item not an object
+        {"entries": [0, "2"], "log": []},  # string entry
+        {"log": [{"kind": "obeys", "nStar": "0", "mStar": 0, "i0": 1, "i1": 5}]},
+    ],
+    ids=["list", "log-item", "string-entry", "string-field"],
+)
+def test_verify_blocked_rejects_malformed_nu(tmp_path, capsys, doc):
+    nu = write_json(tmp_path / "nu.json", doc)
+    argv = ["verify-blocked", "--nu", nu, "--count", "2", "--check-witnesses"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+def test_short_loaded_scale(tmp_path, capsys):
+    short = write_json(tmp_path / "scale.json", [0, 2, 4])
+    code, out, err = run(capsys, ["diagonalize", "--count", "3", "--scale", short])
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+    assert "3 loaded entries, asked for index 5" in err
+
+    # the audit lists a witness that reads past the loaded scale as failed
+    blob = tmp_path / "diag.json"
+    assert main(["diagonalize", "--count", "3", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    argv = ["verify-blocked", "--nu", str(blob), "--count", "3", "--scale", short]
+    code, out, _ = run(capsys, argv + ["--check-witnesses"])
+    assert code == 5
+    report = json.loads(out)
+    assert report["ok"] is False
+    first = report["witnessFailures"][0]
+    assert first == {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 1, "i1": 5}
+
+
 def test_contrast_deterministic_and_two_sided(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["contrast", "--out", str(a)]) == 0

@@ -7,6 +7,7 @@ from grpeq.scale import (
     NotObeying,
     ObeysWitness,
     Scale,
+    ShortScale,
     build_scale,
     check_witness,
     find_witness,
@@ -65,10 +66,20 @@ def test_scale_lazy_extension():
     assert len(s.materialized()) >= 31
 
 
+def test_find_witness_heavy_word_before_n_star():
+    # j(1) = 2 < n* = 5 and word 2 is long: no word lies between n* and j(1),
+    # so the least i1 for i0 = 1 is n* + 1, and the search must go on to
+    # i0 = 2 rather than stop at the bound
+    s = Scale.from_values(list(range(0, 40, 2)), 1)
+    w = nu_words([0, 0, 9])
+    wit = find_witness(w, s, 5, 0, 10)
+    assert (wit.i0, wit.i1) == naive_witness(w, s, 5, 0, 10) == (2, 6)
+
+
 def test_scale_from_values_validation():
     s = Scale.from_values([0, 2, 4], 1)
     assert s.value(2) == 4
-    with pytest.raises(IndexError):
+    with pytest.raises(ShortScale, match="3 loaded entries, asked for index 3"):
         s.value(3)
     with pytest.raises(ValueError):
         Scale.from_values([1, 3, 5], 1)

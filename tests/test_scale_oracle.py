@@ -1,0 +1,128 @@
+"""The incremental scale builder against the clause-by-clause rule.
+
+build_scale keeps running maxima and a heap of pending moved points;
+_next_scale_entry recomputes every entry from every earlier term and every
+earlier point.  Both are read entry by entry until count entries or the
+first error, and must agree on the entries and on the error: its type, its
+message and the entry that raised it.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null
+from grpeq.scale import _next_scale_entry, build_scale
+
+ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def read(entry, count):
+    """Entries 0, 1, ... from entry(n, js) until count or the first error."""
+    js = []
+    try:
+        for n in range(count):
+            js.append(entry(n, js))
+    except (IndexError, ValueError) as exc:
+        return js, type(exc), str(exc)
+    return js, None, None
+
+
+def incremental(d, budget, count):
+    s = build_scale(d, budget, 1)
+    return read(lambda n, js: s.value(n), count)
+
+
+def reference(d, budget, count):
+    return read(lambda n, js: _next_scale_entry(d, budget, js) if n else 0, count)
+
+
+def cycles(width):
+    """A random cycle on distinct points below width."""
+    return st.lists(st.integers(0, width - 1), min_size=2, max_size=6, unique=True).map(
+        Perm.from_cycle
+    )
+
+
+@pytest.mark.parametrize("budget", range(4))
+def test_builtin_family_matches_reference(budget):
+    d = NullSequence.transpositions()
+    got = incremental(d, budget, 120)
+    assert got == reference(d, budget, 120)
+    assert got[0] == build_scale(d, budget, 120).prefix(120)
+    # a late read first, then an early one
+    s = build_scale(d, budget, 1)
+    assert (s.value(40), s.value(3)) == (got[0][40], got[0][3])
+    assert s.prefix(120) == got[0]
+
+
+@ORACLE
+@given(
+    terms=st.lists(cycles(60), min_size=1, max_size=25),
+    slack=st.lists(st.sampled_from([0, 0, 1, 3, 40]), min_size=200, max_size=200),
+    budget=st.integers(0, 3),
+    extra=st.integers(0, 3),
+)
+def test_explicit_prefixes_match_reference(terms, slack, budget, extra):
+    # every point below 200 gets a declared bound: one past its last mover,
+    # raised by a drawn slack so the mover clause sometimes dominates
+    last = {}
+    for idx, p in enumerate(terms):
+        for m in p.support():
+            last[m] = idx + 1
+    bounds = [[m, last.get(m, 0) + slack[m]] for m in range(200)]
+    d = NullSequence.explicit(terms, bounds)
+    # past len(terms) + 1 entries the prefix runs out
+    count = len(terms) + 1 + extra
+    assert incremental(d, budget, count) == reference(d, budget, count)
+
+
+@ORACLE
+@given(
+    c=st.lists(cycles(80), min_size=2, max_size=40),
+    budget=st.integers(0, 3),
+)
+def test_cauchy_prefixes_match_reference(c, budget):
+    c = c[: len(c) // 2 * 2]
+    assume(all(c[2 * n] != c[2 * n + 1] for n in range(len(c) // 2)))
+    d = cauchy_to_null(c)
+    count = len(c) // 2 + 3
+    assert incremental(d, budget, count) == reference(d, budget, count)
+
+
+def test_short_explicit_prefix_fails_at_the_same_entry():
+    d = NullSequence.explicit([Perm.transposition(0, 1)], [[0, 1], [1, 1]])
+    js, kind, message = incremental(d, 1, 5)
+    assert (js, kind, message) == reference(d, 1, 5)
+    assert js == [0, 2] and kind is ShortPrefix
+    # a retried read raises the same error again
+    s = build_scale(d, 1, 2)
+    for _ in range(2):
+        with pytest.raises(ShortPrefix, match="asked for 1"):
+            s.value(2)
+
+
+def test_undeclared_mover_bound_fails_at_the_same_entry():
+    terms = [Perm.transposition(2 * n, 2 * n + 1) for n in range(10)]
+    d = NullSequence.explicit(terms, [[0, 1], [1, 1]])
+    js, kind, message = incremental(d, 1, 8)
+    assert (js, kind, message) == reference(d, 1, 8)
+    assert js == [0, 2, 4] and kind is NoBound and "point 2" in message
+    s = build_scale(d, 1, 3)
+    for _ in range(2):
+        with pytest.raises(NoBound, match="point 2"):
+            s.value(3)
+
+
+@ORACLE
+@given(
+    c=st.lists(cycles(50), min_size=90, max_size=90),
+    order=st.permutations(range(41)),
+)
+def test_out_of_order_reads_match_prefix(c, order):
+    # 45 terms: entry 40 needs terms 0 .. 39
+    assume(all(c[2 * n] != c[2 * n + 1] for n in range(45)))
+    d = cauchy_to_null(c)
+    s = build_scale(d, 1, 1)
+    got = {n: s.value(n) for n in order}
+    assert [got[n] for n in range(41)] == build_scale(d, 1, 41).prefix(41)
+

@@ -5,11 +5,11 @@ the intervals diagonalize lays down.  The oracle tries every pair (i0, i1)
 through make_witness in lexicographic order, with no shortcut.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grpeq.freegrp import ObeysSegment, SubBasis, ascending_generators, diagonalize, enumerate_h
 from grpeq.perm import NullSequence
-from grpeq.scale import Scale, build_scale, find_witness, make_witness
+from grpeq.scale import Scale, ShortScale, build_scale, find_witness, make_witness
 from grpeq.words import nu_words
 
 D = NullSequence.transpositions()
@@ -35,6 +35,29 @@ def found_pair(w, s, n_star, m_star, bound):
     return None if wit is None else (wit.i0, wit.i1)
 
 
+def plain_search(w, s, n_star, m_star, bound):
+    """find_witness without its shortcuts: every i0 in turn, its least i1
+    from a direct length sum, stopping once that passes the bound.  Reads
+    j(i0) and then j(i1), as the scan in find_witness does."""
+    for i0 in range(m_star + 1, bound + 1):
+        j0 = s.value(i0)
+        total = sum(w.gen(t).length() for t in range(n_star, j0 + 1))
+        i1 = max(i0 + total + 1, n_star + 1)
+        if i1 > bound:
+            return None
+        j1 = s.value(i1)
+        if all(w.gen(t).is_trivial for t in range(j0, j1 + 1)):
+            return i0, i1
+    return None
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except ShortScale as exc:
+        return str(exc)
+
+
 def enumeration(basis):
     sub = SubBasis.first(basis)
     return lambda r: enumerate_h(sub, r)
@@ -57,6 +80,37 @@ def test_find_witness_is_least_pair(entries, budget, gaps, n_star, m_star):
     w = nu_words(entries)
     bound = len(values) - 1
     assert found_pair(w, s, n_star, m_star, bound) == least_pair(w, s, n_star, m_star, bound)
+
+
+@SEARCH
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 9]), max_size=30),
+    budget=st.integers(1, 3),
+    gaps=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+    overshoot=st.integers(-3, 3),
+    n_star=st.integers(0, 6),
+    m_star=st.integers(0, 6),
+)
+# scale [0, 2, 5, 8, 11], bound 7: i0 = 1 finds word 5 nontrivial, and the
+# shortcut passes i0 = 2 (j(2) = 5); its least i1 is 7, past the five loaded
+# entries, and the plain loop reads j(7) there, so the search must too
+@example(
+    entries=[1, 0, 0, 0, 0, 1, 0], budget=1, gaps=[0, 1, 1, 1], overshoot=3, n_star=3, m_star=0
+)
+def test_find_witness_on_loaded_scale_ending_near_the_bound(
+    entries, budget, gaps, overshoot, n_star, m_star
+):
+    # the bound sits a few indices either side of the last loaded entry, so
+    # some searches run out of scale: both must run out at the same index
+    values = [0]
+    for g in gaps:
+        values.append(values[-1] + budget + 1 + g)
+    s = Scale.from_values(values, budget)
+    w = nu_words(entries)
+    bound = len(values) - 1 + overshoot
+    assert outcome(found_pair, w, s, n_star, m_star, bound) == outcome(
+        plain_search, w, s, n_star, m_star, bound
+    )
 
 
 @SEARCH
