@@ -31,7 +31,7 @@ from .perm import (
     null_sequence_from_json,
     structure_by_name,
 )
-from .scale import NotObeying, Scale, ShortScale, build_scale, obeys_certificate
+from .scale import NotObeying, Scale, ShortScale, build_scale, find_witness, obeys_certificate
 from .solver import LimitAutomorphism, WitnessNotFound, closure_check, verify_solution
 from .words import nu_from_json, nu_to_json, nu_words, random_sparse_nu_prefix
 
@@ -89,13 +89,33 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
+def _sufficient_depth(exc: NotObeying, w, s, depth: int) -> NotObeying:
+    """exc, extended with the least --depth that gives its pair a witness:
+    the i1 of the pair's least witness with no bound, a search that ends
+    for a list prefix.  When that search runs past the driving terms, exc
+    is returned as it is."""
+    try:
+        wit = find_witness(w, s, exc.n_star, exc.m_star, sys.maxsize)
+    except (ShortPrefix, NoBound):
+        return exc
+    return NotObeying(
+        exc.n_star,
+        exc.m_star,
+        f" within --depth {depth}; --depth {wit.i1} suffices for this pair",
+    )
+
+
 def _solve_report(d, nu_prefix, budget, window, depth):
     w = nu_words(nu_prefix)
     s = build_scale(d, budget, 1)
     nw, mw = window
     up_to = max(nw + 1, mw)
-    certificate = obeys_certificate(w, s, up_to, depth)
+    # one witness index: the limit's queries reuse the certificate's searches
     limit = LimitAutomorphism(d, w, s, search_bound=depth)
+    try:
+        certificate = obeys_certificate(limit.index, up_to)
+    except NotObeying as exc:
+        raise _sufficient_depth(exc, w, s, depth) from None
     b_star = [
         [n, [[m, limit.apply(n, m)] for m in range(mw)]] for n in range(nw)
     ]

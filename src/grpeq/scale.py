@@ -21,6 +21,7 @@ rule as the oracle verify_scale recomputes with.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,10 +32,10 @@ from .words import WordSeq
 class NotObeying(Exception):
     """No witness exists below the search bound for some target pair."""
 
-    def __init__(self, n_star: int, m_star: int):
+    def __init__(self, n_star: int, m_star: int, detail: str = ""):
         self.n_star = n_star
         self.m_star = m_star
-        super().__init__(f"no witness for pair ({n_star}, {m_star})")
+        super().__init__(f"no witness for pair ({n_star}, {m_star}){detail}")
 
 
 class ShortScale(IndexError):
@@ -205,20 +206,18 @@ class ObeysWitness:
         }
 
 
-def _least_i1(w: WordSeq, s: Scale, n_star: int, i0: int, cum: list[int]) -> int:
-    """The least i1 that the order and length-sum clauses admit for i0.
-
-    cum holds the cumulative lengths of words n*, n*+1, ... and is extended
-    in place up to index j(i0) - n*, so a search that raises i0 reuses the
-    sums it already has.  When j(i0) < n* no word lies between them and the
-    sum is empty, which keeps the result nondecreasing in i0.
+def _least_i1(w: WordSeq, s: Scale, n_star: int, i0: int) -> tuple[int, list[int]]:
+    """The least i1 that the order and length-sum clauses admit for i0, and
+    the cumulative lengths of words n*, ..., j(i0) - 1 it summed, word by
+    word.  When j(i0) < n* no word lies between them and the sum is empty.
     """
     j0 = s.value(i0)
+    cum = [0]
     if j0 < n_star:
-        return max(i0 + 1, n_star + 1)
-    for i in range(n_star + len(cum) - 1, j0):
+        return max(i0 + 1, n_star + 1), cum
+    for i in range(n_star, j0):
         cum.append(cum[-1] + w.gen(i).length())
-    return max(i0 + cum[-1] + w.gen(j0).length() + 1, n_star + 1)
+    return max(i0 + cum[-1] + w.gen(j0).length() + 1, n_star + 1), cum
 
 
 def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
@@ -231,8 +230,9 @@ def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
 
 def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysWitness:
     """Build and validate a witness for the given indices, raising ValueError
-    when any clause fails.  Used by rechecks; find_witness applies the same
-    clauses."""
+    when any clause fails.  Every clause is recomputed directly from the
+    words, sharing nothing with WitnessIndex, so rechecks and tests use it
+    as the independent oracle for the search."""
     if not (0 <= m_star < i0):
         raise ValueError("need m_star < i0")
     if not (0 <= n_star < i1):
@@ -242,8 +242,8 @@ def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: in
     t = _first_nontrivial(w, s, i0, i1)
     if t is not None:
         raise ValueError(f"word at {t} is not trivial")
-    cum = [0]
-    if i1 < _least_i1(w, s, n_star, i0, cum):
+    least, cum = _least_i1(w, s, n_star, i0)
+    if i1 < least:
         raise ValueError(f"words {n_star}..{s.value(i0)} are too long for gap {i1 - i0}")
     return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
 
@@ -257,6 +257,73 @@ def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
     return rebuilt.cum_lengths == wit.cum_lengths
 
 
+class WitnessIndex:
+    """Least witnesses over one word sequence and scale, with the work
+    shared between queries.  find(n*, m*) runs the search find_witness
+    describes; find_witness is one query on a fresh index.
+
+    Words are read once, in index order, into two structures every query
+    shares: lens[x], the total length of words 0..x-1, so the length sum
+    for (n*, i0) is lens[j(i0)+1] - lens[n*] with nothing rebuilt per
+    query; and the sorted list of nontrivial indices read, in which one
+    bisect finds the first nontrivial word at or after j(i0).  Answers,
+    None included, are memoized per pair.
+    """
+
+    def __init__(self, w: WordSeq, s: Scale, search_bound: int):
+        if w.var_budget > s.budget:
+            raise ValueError("word budget exceeds the scale budget")
+        self.w = w
+        self.s = s
+        self.search_bound = search_bound
+        self._lens = [0]
+        self._nontrivial: list[int] = []
+        self._found: dict[tuple[int, int], Optional[ObeysWitness]] = {}
+
+    def _read_through(self, x: int) -> None:
+        """Read the words up to index x into lens and the nontrivial list.
+        A word that is the same object as the one before it (a run of
+        zeros under nu_words) reuses its length and triviality."""
+        lens, nontrivial, gen = self._lens, self._nontrivial, self.w.gen
+        total = lens[-1]
+        last = length = trivial = None
+        for i in range(len(lens) - 1, x + 1):
+            word = gen(i)
+            if word is not last:
+                last, length, trivial = word, word.length(), word.is_trivial
+            total += length
+            lens.append(total)
+            if not trivial:
+                nontrivial.append(i)
+
+    def find(self, n_star: int, m_star: int) -> Optional[ObeysWitness]:
+        """The lexicographically least witness pair (i0, i1) for (n*, m*)
+        with i1 within the search bound, or None."""
+        key = (n_star, m_star)
+        if key not in self._found:
+            self._found[key] = self._search(n_star, m_star)
+        return self._found[key]
+
+    def _search(self, n_star: int, m_star: int) -> Optional[ObeysWitness]:
+        s, lens, nontrivial = self.s, self._lens, self._nontrivial
+        for i0 in range(m_star + 1, self.search_bound + 1):
+            j0 = s.value(i0)
+            if j0 < n_star:
+                i1 = max(i0 + 1, n_star + 1)
+            else:
+                self._read_through(j0)
+                i1 = max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+            if i1 > self.search_bound:
+                return None
+            j1 = s.value(i1)
+            self._read_through(j1)
+            k = bisect_left(nontrivial, j0)
+            if k == len(nontrivial) or nontrivial[k] > j1:
+                cum = [x - lens[n_star] for x in lens[n_star : j0 + 1]] if j0 >= n_star else [0]
+                return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
+        return None
+
+
 def find_witness(
     w: WordSeq,
     s: Scale,
@@ -265,50 +332,33 @@ def find_witness(
     search_bound: int,
 ) -> Optional[ObeysWitness]:
     """The lexicographically least witness pair (i0, i1) with i1 bounded by
-    search_bound, or None.
+    search_bound, or None, as one query on a fresh WitnessIndex.
 
-    For a fixed i0 the length-sum clause pins the least admissible i1; a
-    larger i1 only widens the triviality interval, so when the least i1
-    fails triviality no i1 works for that i0 and the search advances i0.
-    The least i1 does not decrease as i0 grows, so once it passes the bound
-    the search ends.  For the same reason, once the least i1 fails at a
-    nontrivial index t, every larger i0 with j(i0) <= t fails at t too: its
-    least i1 is no smaller, so [j(i0), j(least i1)] still holds t.  The
-    search passes those i0 without rescanning the words; it still reads
-    j(i0) and j(i1) for each, exactly as the scan would, so a finite loaded
-    scale runs out at the same index with or without the shortcut.
+    For a fixed i0 the order and length-sum clauses pin the least
+    admissible i1: the larger of n* + 1 and i0 + 1 plus the total length of
+    words n*..j(i0) (none when j(i0) < n*).  A larger i1 only widens the
+    triviality interval, so when the least i1 fails triviality no i1 works
+    for that i0 and the search advances i0.  The least i1 does not decrease
+    as i0 grows, so once it passes the bound the search ends.  Each i0 reads
+    j(i0), then j(i1) when i1 is within the bound, so a loaded finite scale
+    runs out at the same index as a clause-by-clause loop.  The length sum
+    is a difference of prefix sums and the triviality clause one bisect
+    ("the first nontrivial index at or after j(i0) lies past j(i1)"), so an
+    i0 costs no rescan of the words.
     When the words are trivial from some index on (nu_words over a list),
     the search ends without the bound: once j(i0) reaches that index the
     triviality clause passes, so a bound of sys.maxsize is never reached.
     """
-    if w.var_budget > s.budget:
-        raise ValueError("word budget exceeds the scale budget")
-    cum = [0]
-    t = -1  # the last nontrivial index a scan found
-    for i0 in range(m_star + 1, search_bound + 1):
-        i1 = _least_i1(w, s, n_star, i0, cum)
-        if i1 > search_bound:
-            break
-        if s.value(i0) <= t <= s.value(i1):
-            continue
-        t = _first_nontrivial(w, s, i0, i1)
-        if t is None:
-            return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
-    return None
+    return WitnessIndex(w, s, search_bound).find(n_star, m_star)
 
 
-def obeys_certificate(
-    w: WordSeq,
-    s: Scale,
-    up_to: int,
-    search_bound: int,
-) -> list[ObeysWitness]:
+def obeys_certificate(index: WitnessIndex, up_to: int) -> list[ObeysWitness]:
     """Witnesses for every pair below up_to, in row-major pair order.
     Raises NotObeying at the first pair without a witness."""
     out = []
     for n_star in range(up_to):
         for m_star in range(up_to):
-            wit = find_witness(w, s, n_star, m_star, search_bound)
+            wit = index.find(n_star, m_star)
             if wit is None:
                 raise NotObeying(n_star, m_star)
             out.append(wit)

@@ -12,7 +12,7 @@ read off a single finite table.
 from __future__ import annotations
 
 from .perm import IDENTITY, NullSequence, Perm, Structure, compose
-from .scale import ObeysWitness, Scale, find_witness
+from .scale import ObeysWitness, Scale, WitnessIndex, find_witness
 from .words import GroupOps, WordSeq, evaluate
 
 PERM_OPS = GroupOps(
@@ -47,10 +47,17 @@ class ApproxTable:
 def approx(d: NullSequence, w: WordSeq, k: int) -> ApproxTable:
     """Solve the truncation at k.  Row n substitutes the parameter terms
     d_{n+1}, d_{n+2}, ... and the already-solved rows n+1, n+2, ...; rows
-    beyond k are the identity."""
+    beyond k are the identity.  A trivial word's row is the row above it,
+    shared rather than recomposed, so the rows above the last nontrivial
+    word cost nothing."""
     rows: list[Perm] = [IDENTITY] * (k + 1)
     for n in range(k, -1, -1):
         word = w.gen(n)
+        if word.is_trivial:
+            # y1 evaluates to its argument, so the row is the one above it
+            if n < k:
+                rows[n] = rows[n + 1]
+            continue
         lx, ly = word.arities()
         xs = [d.perm(n + i) for i in range(1, lx + 1)]
         ys = [rows[n + i] if n + i <= k else IDENTITY for i in range(1, ly + 1)]
@@ -67,23 +74,26 @@ def stabilization_bound(wit: ObeysWitness, s: Scale) -> int:
 class LimitAutomorphism:
     """Pointwise access to the limit rows b*_n.
 
-    Every query (n, m) finds its own witness, reads the image and preimage
-    off the table at the witness's stabilization bound, and memoizes both.
-    The memo is an optimization only: cached and recomputed answers must
-    coincide.
+    A query (n, m) takes the least witness for the pair from self.index,
+    reads the image and preimage off the table at the witness's
+    stabilization bound, and memoizes both.  The index reads each word once
+    and memoizes its answers; a caller that certifies pairs first through
+    obeys_certificate(limit.index, ...) leaves those witnesses there for
+    the queries.  The memos are optimizations only: cached and recomputed
+    answers must coincide.
     """
 
     def __init__(self, d: NullSequence, w: WordSeq, s: Scale, search_bound: int = 128):
         self.d = d
         self.w = w
         self.s = s
-        self.search_bound = search_bound
+        self.index = WitnessIndex(w, s, search_bound)
         self._tables: dict[int, ApproxTable] = {}
         # (n, m) -> (image, preimage) of m under row n
         self._points: dict[tuple[int, int], tuple[int, int]] = {}
 
     def witness(self, n: int, m: int) -> ObeysWitness:
-        wit = find_witness(self.w, self.s, n, m, self.search_bound)
+        wit = self.index.find(n, m)
         if wit is None:
             raise WitnessNotFound(n, m)
         return wit

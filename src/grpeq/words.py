@@ -163,15 +163,18 @@ def nu_at(nu: NuLike, n: int) -> int:
 
 def nu_words(nu: NuLike) -> WordSeq:
     """The one-parameter one-unknown family driven by an exponent sequence:
-    entry 0 gives the trivial word y1, entry t >= 1 gives x1 y1^t."""
+    entry 0 gives the trivial word y1, entry t >= 1 gives x1 y1^t.  Each
+    distinct exponent makes one Word, which every later index reuses."""
+    words = {0: TRIVIAL_WORD}
 
     def gen(n: int) -> Word:
         t = nu_at(nu, n)
-        if t < 0:
-            raise ValueError("exponent entries must be naturals")
-        if t == 0:
-            return TRIVIAL_WORD
-        return Word((("x", 1, 1), ("y", 1, t)))
+        word = words.get(t)
+        if word is None:
+            if t < 0:
+                raise ValueError("exponent entries must be naturals")
+            word = words[t] = Word((("x", 1, 1), ("y", 1, t)))
+        return word
 
     return WordSeq(gen=gen, var_budget=1)
 

@@ -71,6 +71,39 @@ def test_solve_not_obeying_exit(tmp_path, capsys):
     assert "error" in err
 
 
+def test_solve_depth_too_small_names_the_depth_that_suffices(tmp_path, capsys):
+    nu = write_json(tmp_path / "nu.json", {"prefix": [0, 2, 0, 0, 1]})
+    argv = ["solve", "--nu", nu, "--window", "4,42"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: no witness for pair (0, 41) within --depth 128; "
+        "--depth 131 suffices for this pair\n"
+    )
+    code, _, err = run(capsys, argv + ["--depth", "130"])
+    assert code == 2
+    assert err.endswith("within --depth 130; --depth 131 suffices for this pair\n")
+    code, _, err = run(capsys, argv + ["--depth", "131"])
+    assert (code, err) == (0, "")
+    # contrast solves through the same path
+    code, out, err = run(capsys, ["contrast", "--window", "4,42"])
+    assert (code, out) == (2, "")
+    assert one_error_line(err) and "suffices for this pair" in err
+
+
+def test_solve_depth_hint_stops_at_the_driving_prefix(tmp_path, capsys):
+    # the bounded search fits in the five explicit terms; the unbounded one
+    # that would name a depth does not, so the line stays as it was
+    perms = [[[2 * n, 2 * n + 1], [2 * n + 1, 2 * n]] for n in range(5)]
+    bounds = [[m, m // 2 + 1] for m in range(40)]
+    d = write_json(tmp_path / "d.json", {"kind": "explicit", "perms": perms, "moverBound": bounds})
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1]})
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", d, "--depth", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: no witness for pair (0, 0)\n"
+
+
 def test_solve_bad_dseq_exit(tmp_path, capsys):
     pair = [[0, 1], [1, 0]]
     d = write_json(tmp_path / "d.json", {"kind": "cauchy", "c": [pair, pair]})

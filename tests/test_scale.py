@@ -8,6 +8,7 @@ from grpeq.scale import (
     ObeysWitness,
     Scale,
     ShortScale,
+    WitnessIndex,
     build_scale,
     check_witness,
     find_witness,
@@ -200,7 +201,7 @@ def test_obeys_certificate_all_zero():
     d = NullSequence.transpositions()
     s = build_scale(d, 1, 1)
     w = nu_words([])
-    cert = obeys_certificate(w, s, 5, 64)
+    cert = obeys_certificate(WitnessIndex(w, s, 64), 5)
     assert len(cert) == 25
     assert [(wit.n_star, wit.m_star) for wit in cert[:6]] == [
         (0, 0),
@@ -218,7 +219,7 @@ def test_obeys_certificate_raises_with_location():
     s = build_scale(d, 1, 1)
     w = nu_words(lambda n: 1)
     with pytest.raises(NotObeying) as exc:
-        obeys_certificate(w, s, 3, 32)
+        obeys_certificate(WitnessIndex(w, s, 32), 3)
     assert (exc.value.n_star, exc.value.m_star) == (0, 0)
 
 
@@ -233,6 +234,6 @@ def test_certificate_on_sparse_corpus():
         prefix = random_sparse_nu_prefix(rng)
         w = nu_words(prefix)
         s = build_scale(d, 1, 1)
-        cert = obeys_certificate(w, s, 3, 128)
+        cert = obeys_certificate(WitnessIndex(w, s, 128), 3)
         assert len(cert) == 9
         assert all(check_witness(w, s, wit) for wit in cert)

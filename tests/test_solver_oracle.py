@@ -1,0 +1,236 @@
+"""The solve path's fast paths against slow references kept here.
+
+approx shares a trivial word's row with the row above it instead of
+evaluating the word; the reference evaluates every row.  WitnessIndex
+answers every pair from one prefix sum and one sorted list of nontrivial
+indices, memoized across queries; the references are a fresh index per
+pair and the least pair make_witness accepts.  The limit rows are checked
+against their equations and against exact downward substitution, over
+explicit and Cauchy driving sequences as well as the built-in one.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grpeq.perm import IDENTITY, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
+from grpeq.scale import (
+    NotObeying,
+    Scale,
+    ShortScale,
+    WitnessIndex,
+    build_scale,
+    find_witness,
+    make_witness,
+    obeys_certificate,
+)
+from grpeq.solver import PERM_OPS, LimitAutomorphism, approx, verify_solution
+from grpeq.words import evaluate, nu_words, random_sparse_nu_prefix
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def reference_rows(d, w, k):
+    """Rows 0..k of the truncation at k, every row through evaluate."""
+    rows = [IDENTITY] * (k + 1)
+    for n in range(k, -1, -1):
+        word = w.gen(n)
+        lx, ly = word.arities()
+        xs = [d.perm(n + i) for i in range(1, lx + 1)]
+        ys = [rows[n + i] if n + i <= k else IDENTITY for i in range(1, ly + 1)]
+        rows[n] = evaluate(word, xs, ys, PERM_OPS)
+    return rows
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def near_cycle(n, points, rng):
+    """A cycle on distinct points near 2n, so the terms tend to the identity."""
+    lo = max(0, 2 * n - 2)
+    return Perm.from_cycle(rng.sample(range(lo, lo + 6), points))
+
+
+def explicit_sequence(seed, terms):
+    """terms cycles near 2n with a declared mover bound for every point
+    below 4 * terms: one past the point's last mover plus a small slack."""
+    rng = random.Random(seed)
+    perms = [near_cycle(n, rng.choice((2, 3)), rng) for n in range(terms)]
+    last = {}
+    for idx, p in enumerate(perms):
+        for m in p.support():
+            last[m] = idx + 1
+    bounds = [[m, last.get(m, 0) + rng.choice((0, 0, 1, 3))] for m in range(4 * terms)]
+    return NullSequence.explicit(perms, bounds)
+
+
+def cauchy_sequence(seed, terms):
+    """A Cauchy prefix whose quotients c[2n]^-1 c[2n+1] are cycles near 2n."""
+    rng = random.Random(seed)
+    c = []
+    for n in range(terms):
+        base = near_cycle(n, 2, rng)
+        c += [base, compose(base, near_cycle(n, rng.choice((2, 3)), rng))]
+    return cauchy_to_null(c)
+
+
+def driving_sequence(kind, seed, terms=200):
+    if kind == "builtin":
+        return NullSequence.transpositions()
+    if kind == "explicit":
+        return explicit_sequence(seed, terms)
+    return cauchy_sequence(seed, terms)
+
+
+KINDS = st.sampled_from(["builtin", "explicit", "cauchy"])
+EXPONENTS = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=24)
+
+
+@ORACLE
+@given(kind=KINDS, seed=st.integers(0, 10**6), entries=EXPONENTS, k=st.integers(0, 40),
+       periodic=st.booleans())
+def test_approx_rows_match_evaluating_every_row(kind, seed, entries, k, periodic):
+    d = driving_sequence(kind, seed, terms=30)
+    if periodic and entries:
+        # a callable exponent sequence: the entries repeated forever
+        w = nu_words(lambda n: entries[n % len(entries)])
+    else:
+        w = nu_words(entries)
+    # a truncation past the 30 explicit or Cauchy terms must fail alike
+    got = outcome(lambda: approx(d, w, k))
+    want = outcome(reference_rows, d, w, k)
+    if isinstance(want, tuple):
+        assert got == want
+        assert want[0] is ShortPrefix
+    else:
+        assert [got.row(n) for n in range(k + 3)] == want + [IDENTITY, IDENTITY]
+
+
+def least_pair(w, s, n_star, m_star, bound):
+    """The witness make_witness accepts at the lexicographically least
+    (i0, i1) with i1 <= bound, or None."""
+    for i0 in range(bound + 1):
+        for i1 in range(bound + 1):
+            try:
+                return make_witness(w, s, n_star, m_star, i0, i1)
+            except ValueError:
+                continue
+    return None
+
+
+def irregular_scale(budget, gaps):
+    values = [0]
+    for g in gaps:
+        values.append(values[-1] + budget + 1 + g)
+    return Scale.from_values(values, budget)
+
+
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=30),
+    budget=st.integers(1, 3),
+    gaps=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    bound=st.integers(1, 30),
+    order=st.permutations([(n, m) for n in range(6) for m in range(6)]),
+)
+def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, bound, order):
+    s = irregular_scale(budget, gaps)
+    w = nu_words(entries)
+    index = WitnessIndex(w, s, bound)
+    for n_star, m_star in order:
+        got = index.find(n_star, m_star)
+        assert got == find_witness(w, s, n_star, m_star, bound)
+        assert got == least_pair(w, s, n_star, m_star, bound)
+        # a repeated query answers from the memo, with the same object
+        assert index.find(n_star, m_star) is got
+
+
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 1, 2]), max_size=12),
+    bound=st.integers(2, 16),
+    up_to=st.integers(1, 5),
+    order=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+)
+def test_certificate_fails_on_the_same_pair_after_any_queries(entries, bound, up_to, order):
+    # a small bound, so some pairs have no witness: the certificate must
+    # stop at the first of them in row-major order, whatever the shared
+    # index answered before
+    s = build_scale(NullSequence.transpositions(), 1, 1)
+    w = nu_words(entries)
+    index = WitnessIndex(w, s, bound)
+    for n_star, m_star in order:
+        index.find(n_star, m_star)
+    want = []
+    missing = None
+    for n_star in range(up_to):
+        for m_star in range(up_to):
+            wit = least_pair(w, s, n_star, m_star, bound)
+            if wit is None and missing is None:
+                missing = (n_star, m_star)
+            want.append(wit)
+    if missing is None:
+        assert obeys_certificate(index, up_to) == want
+    else:
+        with pytest.raises(NotObeying) as exc:
+            obeys_certificate(index, up_to)
+        assert (exc.value.n_star, exc.value.m_star) == missing
+
+
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 9]), max_size=20),
+    gaps=st.lists(st.integers(0, 3), min_size=1, max_size=20),
+    overshoot=st.integers(-2, 3),
+    order=st.permutations([(n, m) for n in range(4) for m in range(4)]),
+)
+def test_index_runs_out_of_a_loaded_scale_like_a_fresh_search(entries, gaps, overshoot, order):
+    s = irregular_scale(1, gaps)
+    w = nu_words(entries)
+    bound = len(gaps) + overshoot
+    index = WitnessIndex(w, s, bound)
+    for n_star, m_star in order:
+        got = outcome(index.find, n_star, m_star)
+        assert got == outcome(find_witness, w, s, n_star, m_star, bound)
+        if isinstance(got, tuple):
+            assert got[0] is ShortScale
+
+
+def exact_limit(d, prefix):
+    """b_n(m) for the system with a finite exponent prefix, by downward
+    substitution b_n = d_{n+1} b_{n+1}^t from the identity above the last
+    entry; a zero entry makes b_n = b_{n+1}."""
+
+    @lru_cache(maxsize=None)
+    def value(n, m):
+        if n >= len(prefix):
+            return m
+        if prefix[n] == 0:
+            return value(n + 1, m)
+        for _ in range(prefix[n]):
+            m = value(n + 1, m)
+        return d.perm(n + 1).apply(m)
+
+    return value
+
+
+@ORACLE
+@given(kind=st.sampled_from(["explicit", "cauchy"]), seed=st.integers(0, 10**6),
+       budget=st.integers(1, 2))
+def test_limit_rows_solve_their_equations_beyond_the_builtin_family(kind, seed, budget):
+    d = driving_sequence(kind, seed)
+    prefix = random_sparse_nu_prefix(random.Random(seed))
+    nw, mw = 4, 16
+    limit = LimitAutomorphism(d, nu_words(prefix), build_scale(d, budget, 1), search_bound=128)
+    exact = exact_limit(d, prefix)
+    assert [[limit.apply(n, m) for m in range(mw)] for n in range(nw)] == [
+        [exact(n, m) for m in range(mw)] for n in range(nw)
+    ]
+    assert verify_solution(limit, nw, mw) == []

@@ -1,5 +1,6 @@
 """Word grammar: canonical forms, evaluation, the nu-indexed family."""
 
+import dataclasses
 import random
 
 import pytest
@@ -154,6 +155,19 @@ def test_nu_words_mapping():
 def test_nu_words_callable_source():
     w = nu_words(lambda n: 1)
     assert w.gen(7).factors == (("x", 1, 1), ("y", 1, 1))
+
+
+def test_nu_words_reuses_one_word_per_exponent():
+    w = nu_words([2, 0, 2, 1, -1])
+    assert w.gen(0) is w.gen(2)
+    assert w.gen(1) is w.gen(9) is TRIVIAL_WORD
+    # a wrapped gen, as a tracer installs it, still reads the same words
+    wrapped = dataclasses.replace(w, gen=lambda n: w.gen(n))
+    assert wrapped.gen(2) is w.gen(0)
+    assert wrapped.gen(3).factors == (("x", 1, 1), ("y", 1, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="naturals"):
+            wrapped.gen(4)
 
 
 def test_nu_at():
