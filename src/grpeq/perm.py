@@ -25,6 +25,39 @@ class ShortPrefix(IndexError):
     """A term was asked for past the end of a finite driving prefix."""
 
 
+def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
+    """The moves of the map given by (point, image) pairs, fixed points
+    dropped: the one validation rule behind Perm and Perm.from_pairs.
+
+    Checks come in a fixed order: a duplicate point anywhere, then a point
+    that is not a natural (booleans, floats and strings included), then a
+    map that is not a permutation of its support.  Every failure is a
+    ValueError.
+    """
+    moves: dict[int, int] = {}
+    bad = fixed = False
+    for pair in pairs:
+        try:
+            p, q = pair
+        except TypeError:
+            raise ValueError(f"not a [point, image] pair: {pair!r}") from None
+        if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+            if isinstance(p, (list, dict)):  # unhashable, so no duplicate check
+                raise ValueError("points must be naturals")
+            bad = True  # reported once every pair is checked for duplicates
+        if p in moves:
+            raise ValueError(f"duplicate point {p}")
+        moves[p] = q
+        fixed = fixed or p == q
+    if bad:
+        raise ValueError("points must be naturals")
+    if fixed:
+        moves = {p: q for p, q in moves.items() if p != q}
+    if moves.keys() != set(moves.values()):
+        raise ValueError("mapping is not a permutation of its support")
+    return moves
+
+
 class Perm:
     """A permutation of the naturals moving only finitely many points.
 
@@ -35,17 +68,18 @@ class Perm:
     __slots__ = ("_map", "_inv")
 
     def __init__(self, mapping: Optional[dict[int, int]] = None):
-        moves: dict[int, int] = {}
-        if mapping:
-            for k, v in mapping.items():
-                if k < 0 or v < 0:
-                    raise ValueError("points must be naturals")
-                if k != v:
-                    moves[k] = v
-        if set(moves.keys()) != set(moves.values()):
-            raise ValueError("mapping is not a permutation of its support")
+        moves = _checked_moves(mapping.items()) if mapping else {}
         object.__setattr__(self, "_map", moves)
         object.__setattr__(self, "_inv", {v: k for k, v in moves.items()})
+
+    @classmethod
+    def _trusted(cls, moves: dict[int, int]) -> "Perm":
+        """A Perm on moves, which must already be a permutation of its
+        support with no fixed points; nothing is revalidated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_map", moves)
+        object.__setattr__(p, "_inv", {v: k for k, v in moves.items()})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -101,12 +135,7 @@ class Perm:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "Perm":
-        mapping: dict[int, int] = {}
-        for p, q in pairs:
-            if p in mapping:
-                raise ValueError(f"duplicate point {p}")
-            mapping[p] = q
-        return cls(mapping)
+        return cls._trusted(_checked_moves(pairs))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -141,10 +170,15 @@ IDENTITY = Perm()
 
 def compose(f: Perm, g: Perm) -> Perm:
     """The permutation m -> f(g(m)), so the right factor acts first."""
-    mapping = {}
-    for m in set(f._map) | set(g._map):
-        mapping[m] = f.apply(g.apply(m))
-    return Perm(mapping)
+    fm, gm = f._map, g._map
+    moves = {}
+    for m in fm.keys() | gm.keys():
+        x = gm.get(m, m)
+        y = fm.get(x, x)
+        if y != m:
+            moves[m] = y
+    # a composition of permutations is a permutation: nothing to revalidate
+    return Perm._trusted(moves)
 
 
 def metric(f: Perm, g: Perm) -> Fraction:
@@ -213,21 +247,26 @@ class NullSequence:
     def explicit(
         cls,
         perms: Sequence[Perm],
-        mover_bound_pairs: Iterable[Sequence[int]],
+        mover_bound_pairs: Sequence[Sequence[int]],
     ) -> "NullSequence":
         """A finite prefix with a declared mover bound.
 
         The declared bound is validated against the prefix: for each listed
-        (m, K), every term from K on must fix m.  Points without a listed
-        bound raise NoBound when queried.
+        (m, K), a pair of naturals, every term from K on must fix m.  Points
+        without a listed bound raise NoBound when queried.
         """
         terms = list(perms)
         for i, p in enumerate(terms):
             if p.is_identity:
                 raise NotNull(f"term {i} is the identity")
+        if not isinstance(mover_bound_pairs, (list, tuple)):
+            raise ValueError("mover bounds must be a list of [point, bound] pairs")
         bounds = {}
-        for m, k in mover_bound_pairs:
-            bounds[m] = k
+        for pair in mover_bound_pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(x) is int and x >= 0 for x in pair)):
+                raise ValueError(f"a mover bound must be a [point, bound] pair of naturals, got {pair!r}")
+            bounds[pair[0]] = pair[1]
         for m, k in bounds.items():
             for idx in range(k, len(terms)):
                 if terms[idx].apply(m) != m:
@@ -246,27 +285,46 @@ def cauchy_to_null(c: Sequence[Perm]) -> NullSequence:
 
     Term n is inverse(c[2n]) composed with c[2n+1].  Consecutive pair members
     must differ, otherwise some quotient is the identity and the result
-    cannot converge to the identity through non-identity terms.  The mover
-    bound is computed from the supports of the resulting prefix.
+    cannot converge to the identity through non-identity terms.
+
+    Term n moves m exactly when c[2n](m) != c[2n+1](m), and only points
+    that a member of the pair moves can differ.  So one pass over each
+    pair's moved points gives the mover bound of every point (one past the
+    last pair that moves it, 0 when no pair does) and the collapse check,
+    without composing anything.  Term n is built the first time it is
+    fetched and kept for later fetches.
     """
+    return _quotients([p._map for p in c])
+
+
+def _quotients(c: list[dict[int, int]]) -> NullSequence:
+    """cauchy_to_null on the moves of the members of c."""
     if len(c) % 2:
         raise NotNull(f"cauchy prefix has odd length {len(c)}: c[{len(c) - 1}] has no partner")
-    terms = []
-    for n in range(len(c) // 2):
-        d = compose(c[2 * n].inverse(), c[2 * n + 1])
-        if d.is_identity:
+    count = len(c) // 2
+    bounds: dict[int, int] = {}
+    for n in range(count):
+        a, b = c[2 * n], c[2 * n + 1]
+        moved = False
+        for m in a.keys() | b.keys():
+            if a.get(m, m) != b.get(m, m):
+                bounds[m] = n + 1
+                moved = True
+        if not moved:
             raise NotNull(f"pair {n} collapses: c[{2 * n}] equals c[{2 * n + 1}]")
-        terms.append(d)
-    last_mover: dict[int, int] = {}
-    for n, d in enumerate(terms):
-        for m in d.support():
-            last_mover[m] = n
-    bounds = {m: n + 1 for m, n in last_mover.items()}
+    terms: list[Optional[Perm]] = [None] * count
+
+    def quotient(n: int) -> Perm:
+        d = terms[n]
+        if d is None:
+            a, b = Perm._trusted(c[2 * n]), Perm._trusted(c[2 * n + 1])
+            d = terms[n] = compose(a.inverse(), b)
+        return d
 
     return NullSequence(
-        gen=lambda n: terms[n],
+        gen=quotient,
         mover_bound=lambda m: bounds.get(m, 0),
-        length=len(terms),
+        length=count,
         name="cauchy",
     )
 
@@ -334,20 +392,41 @@ def structure_by_name(name: str) -> Structure:
     raise ValueError(f"unknown structure {name!r}")
 
 
-def null_sequence_from_json(obj: dict) -> NullSequence:
+def null_sequence_from_json(obj) -> NullSequence:
     """Load a null sequence description.
 
     Kinds: {"kind": "transpositions"} for the built-in family,
     {"kind": "explicit", "perms": [...], "moverBound": [[m, K], ...]} for a
     declared prefix, and {"kind": "cauchy", "c": [...]} to derive quotients
-    from a Cauchy prefix.  Permutations are sorted [point, image] pair lists.
+    from a Cauchy prefix.  Permutations are sorted [point, image] pair lists,
+    each checked as Perm.from_pairs checks it (ValueError).
+
+    Mover bounds of points that no term moves differ by kind: an explicit
+    prefix answers only the points its moverBound lists, so querying any
+    other point raises NoBound, while a Cauchy prefix derives its bounds
+    from the quotients and gives 0 for a point that no quotient moves.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("a driving sequence must be a JSON object")
     kind = obj.get("kind")
     if kind == "transpositions":
         return NullSequence.transpositions()
     if kind == "explicit":
-        perms = [Perm.from_pairs(p) for p in obj["perms"]]
+        perms = [Perm._trusted(moves) for moves in _json_perms(obj["perms"], "perms")]
         return NullSequence.explicit(perms, obj.get("moverBound", []))
     if kind == "cauchy":
-        return cauchy_to_null([Perm.from_pairs(p) for p in obj["c"]])
+        return _quotients(_json_perms(obj["c"], "c"))
     raise ValueError(f"unknown null sequence kind {kind!r}")
+
+
+def _json_perms(value, what: str) -> list[dict[int, int]]:
+    """The moves of each permutation in a loaded JSON list, checked in
+    list order as Perm.from_pairs checks them."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list of permutations")
+    out = []
+    for i, pairs in enumerate(value):
+        if not isinstance(pairs, list):
+            raise ValueError(f"{what}[{i}] must be a JSON list of [point, image] pairs")
+        out.append(_checked_moves(pairs))
+    return out

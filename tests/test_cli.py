@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from grpeq.cli import main
+from grpeq.perm import NoBound, null_sequence_from_json
 
 
 def run(capsys, argv):
@@ -180,6 +181,54 @@ def test_solve_odd_cauchy_exit(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "d_obj",
+    [
+        [1, 2],  # not an object
+        {"kind": "cauchy", "c": 5},  # c not a list
+        {"kind": "cauchy", "c": [5, [[0, 1], [1, 0]]]},  # a member not a pair list
+        {"kind": "cauchy", "c": [[[0, 1], 5], [[0, 1], [1, 0]]]},  # a pair not a pair
+        {"kind": "cauchy", "c": [[["a", 1], [1, "a"]], [[0, 1], [1, 0]]]},  # string point
+        {"kind": "cauchy", "c": [[[True, 0], [0, True]], [[0, 1], [1, 0]]]},  # boolean point
+        {"kind": "cauchy", "c": [[[[0], 1]], [[0, 1], [1, 0]]]},  # list point
+        {"kind": "explicit", "perms": 7},  # perms not a list
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": 5},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, "x"]]},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, -3]]},
+    ],
+    ids=["list", "c-int", "member-int", "pair-int", "string", "boolean", "list-point",
+         "perms-int", "bounds-int", "bound-string", "bound-negative"],
+)
+def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
+    d = write_json(tmp_path / "d.json", d_obj)
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", d])
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+def test_mover_bound_contract_for_points_no_term_moves(tmp_path, capsys):
+    # both sequences have the terms (4 5), (6 7); an explicit prefix
+    # answers only its declared points, a Cauchy prefix gives 0 for the rest
+    terms = [[[4, 5], [5, 4]], [[6, 7], [7, 6]]]
+    explicit = {"kind": "explicit", "perms": terms, "moverBound": [[m, 1 + m // 6] for m in range(4, 8)]}
+    cauchy = {"kind": "cauchy", "c": [[], terms[0], [], terms[1]]}
+    d = null_sequence_from_json(explicit)
+    assert d.mover_bound(4) == 1
+    with pytest.raises(NoBound, match="no mover bound declared for point 0"):
+        d.mover_bound(0)
+    d = null_sequence_from_json(cauchy)
+    assert [d.mover_bound(m) for m in (0, 4, 5, 6, 8, 1000)] == [0, 1, 1, 2, 0, 0]
+
+    # entry 2 of the scale asks for the bounds of points 0 and 1
+    argv = ["scale", "--count", "3", "--d"]
+    code, out, err = run(capsys, argv + [write_json(tmp_path / "e.json", explicit)])
+    assert (code, out, err) == (4, "", "error: no mover bound declared for point 0\n")
+    code, out, err = run(capsys, argv + [write_json(tmp_path / "c.json", cauchy)])
+    assert (code, out, err) == (0, "[0, 2, 4]\n", "")
 
 
 def test_diagonalize_verify_roundtrip(tmp_path, capsys):
