@@ -6,8 +6,9 @@ the two-sided contrast experiment.  All reports are canonical JSON (sorted
 keys, two-space indent), so identical configurations produce identical
 bytes.
 
-Exit codes: 0 ok, 1 other input error (among them a --scale file with
-fewer entries than the run reads: the line names both counts), 2 no obeys
+Exit codes: 0 ok, 1 other input error (among them a malformed --scale
+file, or one with fewer entries than the run reads: the line names both
+counts), 2 no obeys
 witness for some pair, 3 no stabilization witness for a queried point,
 4 bad driving sequence, 5 verification failure.  Every error is one
 "error:" line on stderr.
@@ -33,7 +34,7 @@ from .perm import (
 )
 from .scale import NotObeying, Scale, ShortScale, build_scale, find_witness, obeys_certificate
 from .solver import LimitAutomorphism, WitnessNotFound, closure_check, verify_solution
-from .words import nu_from_json, nu_to_json, nu_words, random_sparse_nu_prefix
+from .words import naturals, nu_from_json, nu_to_json, nu_words, random_sparse_nu_prefix
 
 EXIT_OK = 0
 EXIT_NOT_OBEYING = 2
@@ -69,9 +70,13 @@ def _load_scale(path: Optional[str], budget: int) -> Scale:
     if path is None:
         return build_scale(NullSequence.transpositions(), budget, 1)
     obj = _load_json(path)
-    if isinstance(obj, list):
-        return Scale.from_values(obj, budget)
-    return Scale.from_values(obj["j"], obj.get("budget", budget))
+    if isinstance(obj, dict) and "j" in obj:
+        budget = obj.get("budget", budget)
+        obj = obj["j"]
+    elif not isinstance(obj, list):
+        raise ValueError('a scale file holds a JSON list or an object with a "j" list')
+    (budget,) = naturals([budget], "scale budget")
+    return Scale.from_values(naturals(obj, "scale"), budget)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -282,8 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "count", 0) < 0:
-            raise ValueError("--count must be a natural")
+        for name in ("count", "depth"):
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name} must be a natural")
+        if min(getattr(args, "window", (0, 0))) < 0:
+            raise ValueError("--window must be two naturals")
         return args.fn(args)
     except NotObeying as exc:
         print(f"error: {exc}", file=sys.stderr)

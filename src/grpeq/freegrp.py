@@ -11,11 +11,13 @@ wide enough to host stabilization witnesses.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .scale import Scale, find_witness, make_witness
+# make_witness, the per-segment oracle for reverify, is traced under this name
+from .scale import Scale, ShortScale, WitnessIndex, make_witness  # noqa: F401
 from .words import naturals, nu_words
 
 
@@ -381,7 +383,9 @@ class NuPrefix:
                 fields = [item["nStar"], item["mStar"], item["i0"], item["i1"]]
                 log.append(ObeysSegment(*naturals(fields, "obeys segment fields")))
             elif item.get("kind") == "block":
-                log.append(BlockSegment(item["target"], item["exponent"]))
+                target, exponent = item["target"], item["exponent"]
+                naturals([exponent] + ([] if target is None else [target]), "block segment fields")
+                log.append(BlockSegment(target, exponent))
             else:
                 raise ValueError(f"unknown log segment {item!r}")
         return cls(entries=naturals(obj.get("entries", []), "entries"), log=log)
@@ -393,36 +397,35 @@ def block(
     d: DSeqLike,
     target: Optional[int] = None,
 ) -> NuPrefix:
-    """Extend the prefix by at most two entries so the chain from a dies.
+    """Extend the prefix in place by at most two entries so the chain from
+    a dies, and return it.
 
-    If the chain already died inside the prefix it is returned unchanged.
+    If the chain already died inside the prefix it is left unchanged.
     Otherwise, with residual r at the end: when d^-1 r is not the identity
     its no-root exponent blocks immediately; when it is the identity, one
     zero entry shifts the chain to the next driving term, whose quotient
-    cannot also be the identity because driving terms are distinct.
+    cannot also be the identity because driving terms are distinct.  A
+    driving sequence that raises leaves the prefix as it was.
     """
     st = chain_run(a, d, prefix.entries)
     if not st.is_alive:
         return prefix
-    entries = list(prefix.entries)
-    log = list(prefix.log)
+    n = len(prefix.entries)
     residual = st.residual
-    c = _d_at(d, len(entries)).inverse() * residual
+    tail = []
+    c = _d_at(d, n).inverse() * residual
     if c.is_identity:
-        entries.append(0)
-        c = _d_at(d, len(entries)).inverse() * residual
+        tail.append(0)
+        c = _d_at(d, n + 1).inverse() * residual
         if c.is_identity:
-            raise BadDSeq(
-                f"driving terms {len(entries) - 1} and {len(entries)} coincide"
-            )
+            raise BadDSeq(f"driving terms {n} and {n + 1} coincide")
     t = no_root_exponent(c)
-    entries.append(t)
-    log.append(BlockSegment(target, t))
-    result = NuPrefix(entries, log)
-    final = chain_run(a, d, entries)
-    if final.is_alive:
+    tail.append(t)
+    prefix.entries.extend(tail)
+    prefix.log.append(BlockSegment(target, t))
+    if chain_run(a, d, prefix.entries).is_alive:
         raise AssertionError("blocking failed to kill the chain")
-    return result
+    return prefix
 
 
 def diagonalize(
@@ -443,17 +446,61 @@ def diagonalize(
 
     Each round's interval is the least witness for the entries so far read
     with a zero tail; that search always ends (see find_witness), so its
-    bound is never reached.
+    bound is never reached.  One WitnessIndex over the live entry list
+    serves every round, so each word is read once.  No word it has read
+    ever changes: the padding writes zeros where it read the zero tail, and
+    block appends past its frontier, as the loop asserts.
     """
     prefix = NuPrefix()
+    index = WitnessIndex(nu_words(prefix.entries), s, sys.maxsize)
     for r in range(count):
-        wit = find_witness(nu_words(prefix.entries), s, r, r, sys.maxsize)
+        wit = index.find(r, r)
         j1 = s.value(wit.i1)
         if len(prefix.entries) < j1 + 1:
             prefix.entries.extend([0] * (j1 + 1 - len(prefix.entries)))
         prefix.log.append(ObeysSegment(r, r, wit.i0, wit.i1))
-        prefix = block(enumeration(r), prefix, d, target=r)
+        assert index.frontier < len(prefix.entries), "block would rewrite a word already read"
+        block(enumeration(r), prefix, d, target=r)
     return prefix
+
+
+def _witness_failures(prefix: NuPrefix, s: Scale) -> list[dict]:
+    """The logged ObeysSegments that make_witness rejects, found in one pass
+    over the entries that shares nothing with WitnessIndex.  Entry t is a
+    word of length 1 + t, nontrivial when t > 0 (indices past the end are
+    zeros), so a segment costs its two scale reads, one bisect among the
+    nonzero positions and two prefix-sum lookups.
+    """
+    lens, nonzero = [0], []
+    for x, t in enumerate(prefix.entries):
+        lens.append(lens[-1] + 1 + t)
+        if t:
+            nonzero.append(x)
+    size = len(lens) - 1
+
+    def length_sum(x: int) -> int:  # total length of words 0..x-1
+        return lens[min(x, size)] + max(0, x - size)
+
+    def holds(n_star: int, m_star: int, i0: int, i1: int) -> bool:
+        if not (0 <= m_star < i0 and 0 <= n_star < i1 and i0 < i1):
+            return False
+        j0, j1 = s.value(i0), s.value(i1)
+        k = bisect_left(nonzero, j0)
+        if k < len(nonzero) and nonzero[k] <= j1:
+            return False
+        # i1 > i0 and i1 > n* hold, which is all when j(i0) < n*
+        return j0 < n_star or i1 > i0 + length_sum(j0 + 1) - length_sum(n_star)
+
+    failures = []
+    for seg in prefix.log:
+        if isinstance(seg, ObeysSegment):
+            try:
+                ok = holds(seg.n_star, seg.m_star, seg.i0, seg.i1)
+            except ShortScale:
+                ok = False
+            if not ok:
+                failures.append(seg.as_json())
+    return failures
 
 
 def reverify(
@@ -465,8 +512,9 @@ def reverify(
 ) -> dict:
     """Independent post-hoc audit of a diagonalization output.
 
-    Re-runs every chain from scratch and, when a scale is supplied, rebuilds
-    every logged witness from its indices.  Returns a plain dict verdict.
+    Re-runs every chain from scratch and, when a scale is supplied,
+    rechecks every logged witness from its indices in one pass over the
+    entries.  Returns a plain dict verdict.
     """
     verdicts = []
     survivors = []
@@ -475,15 +523,7 @@ def reverify(
         verdicts.append([r, "dead" if not st.is_alive else "alive"])
         if st.is_alive:
             survivors.append(r)
-    witness_failures = []
-    if s is not None:
-        w = prefix.word_seq()
-        for seg in prefix.log:
-            if isinstance(seg, ObeysSegment):
-                try:
-                    make_witness(w, s, seg.n_star, seg.m_star, seg.i0, seg.i1)
-                except (ValueError, IndexError):
-                    witness_failures.append(seg.as_json())
+    witness_failures = [] if s is None else _witness_failures(prefix, s)
     ok = not survivors and not witness_failures
     report: dict = {"verdicts": verdicts, "ok": ok}
     if survivors:

@@ -187,15 +187,14 @@ class ObeysWitness:
 
     The interval of scale values [j(i0), j(i1)] carries only trivial words,
     and the words between n* and j(i0) are jointly shorter than i1 - i0.
-    cum_lengths[p] is the total length of words n*, ..., n*+p-1, so it runs
-    from 0 at p = 0 up to index j(i0) - n*.
+    The length sums behind the second clause are not stored: cum_lengths
+    derives them from the words and the scale when asked.
     """
 
     n_star: int
     m_star: int
     i0: int
     i1: int
-    cum_lengths: tuple[int, ...]
 
     def as_json(self) -> dict:
         return {
@@ -206,18 +205,14 @@ class ObeysWitness:
         }
 
 
-def _least_i1(w: WordSeq, s: Scale, n_star: int, i0: int) -> tuple[int, list[int]]:
-    """The least i1 that the order and length-sum clauses admit for i0, and
-    the cumulative lengths of words n*, ..., j(i0) - 1 it summed, word by
-    word.  When j(i0) < n* no word lies between them and the sum is empty.
-    """
-    j0 = s.value(i0)
+def cum_lengths(w: WordSeq, s: Scale, wit: ObeysWitness) -> tuple[int, ...]:
+    """The cumulative lengths behind a witness: entry p is the total length
+    of words n*, ..., n*+p-1, from 0 at p = 0 up to p = j(i0) - n*.  Just
+    (0,) when j(i0) < n*."""
     cum = [0]
-    if j0 < n_star:
-        return max(i0 + 1, n_star + 1), cum
-    for i in range(n_star, j0):
+    for i in range(wit.n_star, s.value(wit.i0)):
         cum.append(cum[-1] + w.gen(i).length())
-    return max(i0 + cum[-1] + w.gen(j0).length() + 1, n_star + 1), cum
+    return tuple(cum)
 
 
 def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
@@ -230,9 +225,10 @@ def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
 
 def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysWitness:
     """Build and validate a witness for the given indices, raising ValueError
-    when any clause fails.  Every clause is recomputed directly from the
-    words, sharing nothing with WitnessIndex, so rechecks and tests use it
-    as the independent oracle for the search."""
+    when any clause fails and ShortScale when a loaded scale ends before
+    j(i1).  Every clause is recomputed directly from the words, sharing
+    nothing with WitnessIndex, so rechecks and tests use it as the
+    independent oracle for the search."""
     if not (0 <= m_star < i0):
         raise ValueError("need m_star < i0")
     if not (0 <= n_star < i1):
@@ -242,19 +238,20 @@ def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: in
     t = _first_nontrivial(w, s, i0, i1)
     if t is not None:
         raise ValueError(f"word at {t} is not trivial")
-    least, cum = _least_i1(w, s, n_star, i0)
-    if i1 < least:
+    # the length of words n*..j(i0), word by word; none when j(i0) < n*
+    total = sum(w.gen(i).length() for i in range(n_star, s.value(i0) + 1))
+    if i1 < max(i0 + total + 1, n_star + 1):
         raise ValueError(f"words {n_star}..{s.value(i0)} are too long for gap {i1 - i0}")
-    return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
+    return ObeysWitness(n_star, m_star, i0, i1)
 
 
 def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
     """Independent recheck of every clause of an existing witness."""
     try:
-        rebuilt = make_witness(w, s, wit.n_star, wit.m_star, wit.i0, wit.i1)
+        make_witness(w, s, wit.n_star, wit.m_star, wit.i0, wit.i1)
     except (ValueError, IndexError):
         return False
-    return rebuilt.cum_lengths == wit.cum_lengths
+    return True
 
 
 class WitnessIndex:
@@ -279,6 +276,12 @@ class WitnessIndex:
         self._lens = [0]
         self._nontrivial: list[int] = []
         self._found: dict[tuple[int, int], Optional[ObeysWitness]] = {}
+
+    @property
+    def frontier(self) -> int:
+        """The last word index read, -1 before any read.  The words past it
+        may still change without making an answer stale."""
+        return len(self._lens) - 2
 
     def _read_through(self, x: int) -> None:
         """Read the words up to index x into lens and the nontrivial list.
@@ -319,8 +322,7 @@ class WitnessIndex:
             self._read_through(j1)
             k = bisect_left(nontrivial, j0)
             if k == len(nontrivial) or nontrivial[k] > j1:
-                cum = [x - lens[n_star] for x in lens[n_star : j0 + 1]] if j0 >= n_star else [0]
-                return ObeysWitness(n_star, m_star, i0, i1, tuple(cum))
+                return ObeysWitness(n_star, m_star, i0, i1)
         return None
 
 
@@ -332,7 +334,8 @@ def find_witness(
     search_bound: int,
 ) -> Optional[ObeysWitness]:
     """The lexicographically least witness pair (i0, i1) with i1 bounded by
-    search_bound, or None, as one query on a fresh WitnessIndex.
+    search_bound, or None, as one query on a fresh WitnessIndex; callers
+    with many queries over the same words keep one index instead.
 
     For a fixed i0 the order and length-sum clauses pin the least
     admissible i1: the larger of n* + 1 and i0 + 1 plus the total length of

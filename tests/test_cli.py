@@ -157,6 +157,25 @@ def test_negative_count_rejected(tmp_path, capsys):
         assert one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--window", "4,-3"],
+        ["--window=-1,3"],
+        ["--depth", "-5"],
+    ],
+    ids=["window-m", "window-n", "depth"],
+)
+def test_negative_window_and_depth_rejected(tmp_path, capsys, argv):
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    for command in (["solve", "--nu", nu], ["contrast"]):
+        code, out, err = run(capsys, command + argv)
+        assert code == 1, command + argv
+        assert out == ""
+        assert one_error_line(err)
+        assert "must be" in err
+
+
 def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
     d = write_json(
         tmp_path / "d.json",
@@ -274,8 +293,16 @@ def test_verify_blocked_detects_tampering(tmp_path, capsys):
         {"entries": [0, 2], "log": [7]},  # log item not an object
         {"entries": [0, "2"], "log": []},  # string entry
         {"log": [{"kind": "obeys", "nStar": "0", "mStar": 0, "i0": 1, "i1": 5}]},
+        {"log": [{"kind": "block", "target": "a", "exponent": 2}]},
+        {"log": [{"kind": "block", "target": -1, "exponent": 2}]},
+        {"log": [{"kind": "block", "target": True, "exponent": 2}]},
+        {"log": [{"kind": "block", "target": 0, "exponent": -1}]},
+        {"log": [{"kind": "block", "target": None, "exponent": True}]},
+        {"log": [{"kind": "block", "target": 0, "exponent": 2.5}]},
     ],
-    ids=["list", "log-item", "string-entry", "string-field"],
+    ids=["list", "log-item", "string-entry", "string-field", "block-target-string",
+         "block-target-negative", "block-target-boolean", "block-exponent-negative",
+         "block-exponent-boolean", "block-exponent-float"],
 )
 def test_verify_blocked_rejects_malformed_nu(tmp_path, capsys, doc):
     nu = write_json(tmp_path / "nu.json", doc)
@@ -305,6 +332,51 @@ def test_short_loaded_scale(tmp_path, capsys):
     assert report["ok"] is False
     first = report["witnessFailures"][0]
     assert first == {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 1, "i1": 5}
+
+
+@pytest.mark.parametrize(
+    "scale_obj",
+    [
+        5,  # neither a list nor an object
+        {"budget": 1},  # an object without "j"
+        {"j": 5},  # "j" not a list
+        {"j": [0, 2, 4], "budget": "x"},  # string budget
+        {"j": [0, 2, 4], "budget": -1},  # negative budget
+        {"j": [0, 2, 4], "budget": True},  # boolean budget
+        {"j": [0, 2, "4"]},  # string entry
+        {"j": [0, 2, 4.5]},  # float entry
+        [False, 2, 4],  # boolean entry
+        [0, 2, -4],  # negative entry
+    ],
+    ids=["int", "no-j", "j-int", "budget-string", "budget-negative", "budget-boolean",
+         "entry-string", "entry-float", "entry-boolean", "entry-negative"],
+)
+def test_malformed_scale_file_rejected(tmp_path, capsys, scale_obj):
+    scale = write_json(tmp_path / "scale.json", scale_obj)
+    code, out, err = run(capsys, ["diagonalize", "--count", "2", "--scale", scale])
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+    blob = tmp_path / "diag.json"
+    assert main(["diagonalize", "--count", "2", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    argv = ["verify-blocked", "--nu", str(blob), "--count", "2", "--scale", scale]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+
+
+def test_scale_file_budget_reads_from_the_file(tmp_path, capsys):
+    # a budget in the file overrides --budget; the gap check uses it
+    wide = write_json(tmp_path / "wide.json", {"j": list(range(0, 300, 3)), "budget": 2})
+    code, _, err = run(capsys, ["diagonalize", "--count", "2", "--scale", wide])
+    assert (code, err) == (0, "")
+    tight = write_json(tmp_path / "tight.json", {"j": [0, 2, 4], "budget": 2})
+    code, out, err = run(capsys, ["diagonalize", "--count", "2", "--scale", tight])
+    assert (code, out) == (1, "")
+    assert err == "error: gap 0 -> 2 does not clear budget 2\n"
 
 
 def test_contrast_deterministic_and_two_sided(tmp_path):

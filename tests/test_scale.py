@@ -11,6 +11,7 @@ from grpeq.scale import (
     WitnessIndex,
     build_scale,
     check_witness,
+    cum_lengths,
     find_witness,
     make_witness,
     obeys_certificate,
@@ -115,7 +116,7 @@ def test_find_witness_golden_all_zero():
     wit = find_witness(w, s, 0, 0, 64)
     assert wit is not None
     assert (wit.i0, wit.i1) == (1, 5)
-    assert wit.cum_lengths == (0, 1, 2)
+    assert cum_lengths(w, s, wit) == (0, 1, 2)
     assert check_witness(w, s, wit)
 
 
@@ -186,14 +187,17 @@ def test_check_witness_rejects_tampering():
     s = build_scale(d, 1, 1)
     w = nu_words([])
     wit = find_witness(w, s, 0, 0, 64)
-    bent = ObeysWitness(wit.n_star, 1, wit.i0, wit.i1, wit.cum_lengths)
+    bent = ObeysWitness(wit.n_star, 1, wit.i0, wit.i1)
     assert not check_witness(w, s, bent)
-    padded = ObeysWitness(wit.n_star, wit.m_star, wit.i0, wit.i1, (0, 1, 3))
-    assert not check_witness(w, s, padded)
+    # (0, 0, 1, 5): a later i0 or an earlier i1 leaves too short a gap
+    later = ObeysWitness(wit.n_star, wit.m_star, wit.i0 + 1, wit.i1)
+    assert not check_witness(w, s, later)
+    earlier = ObeysWitness(wit.n_star, wit.m_star, wit.i0, wit.i1 - 1)
+    assert not check_witness(w, s, earlier)
 
 
 def test_witness_json_shape():
-    wit = ObeysWitness(0, 0, 1, 5, (0, 1, 2))
+    wit = ObeysWitness(0, 0, 1, 5)
     assert wit.as_json() == {"nStar": 0, "mStar": 0, "i0": 1, "i1": 5}
 
 

@@ -12,7 +12,7 @@ from grpeq.perm import (
     Perm,
     compose,
 )
-from grpeq.scale import build_scale, find_witness
+from grpeq.scale import build_scale, cum_lengths, find_witness
 from grpeq.solver import (
     LimitAutomorphism,
     WitnessNotFound,
@@ -181,13 +181,14 @@ def test_rows_below_interval_stable_under_cumulative_guard():
         L = LimitAutomorphism(D, nu_words(prefix), s)
         for n in range(3):
             wit = L.witness(n, 0)
+            cum = cum_lengths(L.w, s, wit)
             k_star = stabilization_bound(wit, s)
             j0 = s.value(wit.i0)
             for srow in range(wit.n_star, j0):
                 p = srow - wit.n_star
-                if p >= len(wit.cum_lengths):
+                if p >= len(cum):
                     break
-                guard = s.value(wit.i0 + wit.cum_lengths[p])
+                guard = s.value(wit.i0 + cum[p])
                 near = L.table(k_star).row(srow)
                 far = L.table(k_star + 7).row(srow)
                 for m in range(min(guard, 40)):
