@@ -21,6 +21,7 @@ import json
 import random
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import freegrp
@@ -44,7 +45,76 @@ EXIT_VERIFY_FAILED = 5
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The canonical report text: byte for byte what
+    json.dumps(obj, indent=2, sort_keys=True) gives, plus a newline, for
+    reports built from int, str, bool, None, list and dict with str keys.
+    Anything else raises TypeError.  json.dumps runs its pure-Python
+    encoder once indent is set; this writer takes about half its time by
+    writing the int and str items of a container inline, without a call
+    per value."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(value) -> str:
+    """The JSON text of a scalar a report may hold."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
+def _write(obj, newline: str, out: list) -> None:
+    """Append the text of obj to out.  newline is a line break plus the
+    indent of obj's own line; obj's items go one level deeper."""
+    if isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            kind = type(item)
+            if kind is int:
+                out.append(int.__repr__(item))
+            elif kind is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            item = obj[key]
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            kind = type(item)
+            if kind is int:
+                out.append(int.__repr__(item))
+            elif kind is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(_scalar(obj))
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # make_witness, the per-segment oracle for reverify, is traced under this name
 from .scale import Scale, ShortScale, WitnessIndex, make_witness  # noqa: F401
-from .words import naturals, nu_words
+from .words import naturals, nu_at, nu_words
 
 
 class IdentityInput(ValueError):
@@ -212,7 +212,9 @@ def h_elements(z: SubBasis) -> Iterator[FreeElem]:
     """All reduced words over a finite sub-basis in length-then-lex order.
 
     Letters are ordered z_i before z_i^-1, ascending in i.  The identity
-    comes first.
+    comes first.  Each length is a depth-first walk with an explicit stack
+    of letter iterators, one per position, so a long word costs no
+    recursion.
     """
     if z.complement:
         raise ValueError("enumeration needs a finite sub-basis")
@@ -221,21 +223,26 @@ def h_elements(z: SubBasis) -> Iterator[FreeElem]:
         letters.append((i, 1))
         letters.append((i, -1))
 
-    def words_of_length(length: int, prefix: list[tuple[int, int]]) -> Iterator[FreeElem]:
-        if len(prefix) == length:
-            yield FreeElem.from_syllables(prefix)
-            return
-        for let in letters:
-            if prefix and prefix[-1][0] == let[0] and prefix[-1][1] == -let[1]:
-                continue
-            prefix.append(let)
-            yield from words_of_length(length, prefix)
-            prefix.pop()
-
     yield FreeElem.identity()
     length = 1
     while True:
-        yield from words_of_length(length, [])
+        prefix: list[tuple[int, int]] = []
+        stack = [iter(letters)]
+        while stack:
+            for let in stack[-1]:
+                if prefix and prefix[-1][0] == let[0] and prefix[-1][1] == -let[1]:
+                    continue
+                prefix.append(let)
+                if len(prefix) < length:
+                    stack.append(iter(letters))
+                    break
+                yield FreeElem.from_syllables(prefix)
+                prefix.pop()
+            else:
+                # this position's letters are used up: back up one position
+                stack.pop()
+                if prefix:
+                    prefix.pop()
         length += 1
 
 
@@ -358,7 +365,7 @@ class NuPrefix:
 
     def word_seq(self):
         """The word sequence of a snapshot of the entries."""
-        return nu_words(list(self.entries))
+        return nu_words(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -446,13 +453,15 @@ def diagonalize(
 
     Each round's interval is the least witness for the entries so far read
     with a zero tail; that search always ends (see find_witness), so its
-    bound is never reached.  One WitnessIndex over the live entry list
-    serves every round, so each word is read once.  No word it has read
-    ever changes: the padding writes zeros where it read the zero tail, and
-    block appends past its frontier, as the loop asserts.
+    bound is never reached.  One WitnessIndex over a callable view of the
+    live entry list serves every round, so each word is read once (a list
+    would be copied at the start, with a trivial tail it soon loses).  No
+    word it has read ever changes: the padding writes zeros where it read
+    the zero tail, and block appends past its frontier, as the loop asserts.
     """
     prefix = NuPrefix()
-    index = WitnessIndex(nu_words(prefix.entries), s, sys.maxsize)
+    entries = prefix.entries
+    index = WitnessIndex(nu_words(lambda n: nu_at(entries, n)), s, sys.maxsize)
     for r in range(count):
         wit = index.find(r, r)
         j1 = s.value(wit.i1)

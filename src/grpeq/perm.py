@@ -125,10 +125,6 @@ class Perm:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._map))
 
-    def max_point(self) -> int:
-        """Largest point involved, or -1 for the identity."""
-        return max(self._map) if self._map else -1
-
     def to_pairs(self) -> list[list[int]]:
         """JSON form: sorted [point, image] pairs, fixed points omitted."""
         return [[k, self._map[k]] for k in sorted(self._map)]

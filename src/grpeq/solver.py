@@ -76,7 +76,11 @@ class LimitAutomorphism:
 
     A query (n, m) takes the least witness for the pair from self.index,
     reads the image and preimage off the table at the witness's
-    stabilization bound, and memoizes both.  The index reads each word once
+    stabilization bound, and memoizes both.  When the words declare a
+    trivial tail (w.trivial_from), a bound past it is read at trivial_from
+    instead: every truncation from there on has the same rows, so the
+    queries share one table per effective depth.  table(k) itself stays
+    the real truncation at k.  The index reads each word once
     and memoizes its answers; a caller that certifies pairs first through
     obeys_certificate(limit.index, ...) leaves those witnesses there for
     the queries.  The memos are optimizations only: cached and recomputed
@@ -106,7 +110,10 @@ class LimitAutomorphism:
     def _point(self, n: int, m: int) -> tuple[int, int]:
         key = (n, m)
         if key not in self._points:
-            row = self.table(stabilization_bound(self.witness(n, m), self.s)).row(n)
+            k = stabilization_bound(self.witness(n, m), self.s)
+            if self.w.trivial_from is not None:
+                k = min(k, self.w.trivial_from)
+            row = self.table(k).row(n)
             self._points[key] = (row.apply(m), row.inverse_apply(m))
         return self._points[key]
 

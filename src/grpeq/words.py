@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 class ArityError(ValueError):
@@ -145,10 +145,16 @@ def parse_word(text: str) -> Word:
 @dataclass(frozen=True)
 class WordSeq:
     """An infinite word sequence given by index, with a declared variable
-    budget bounding every mentioned slot index."""
+    budget bounding every mentioned slot index.
+
+    trivial_from, when not None, declares that every word from that index
+    on is the trivial word y1.  The truncations at every depth k at or past
+    it then have the same rows, which is what lets the limit read its
+    values off one table.  None declares nothing."""
 
     gen: Callable[[int], Word]
     var_budget: int
+    trivial_from: Optional[int] = None
 
 
 NuLike = Union[Callable[[int], int], Sequence[int]]
@@ -164,7 +170,15 @@ def nu_at(nu: NuLike, n: int) -> int:
 def nu_words(nu: NuLike) -> WordSeq:
     """The one-parameter one-unknown family driven by an exponent sequence:
     entry 0 gives the trivial word y1, entry t >= 1 gives x1 y1^t.  Each
-    distinct exponent makes one Word, which every later index reuses."""
+    distinct exponent makes one Word, which every later index reuses.
+
+    A list is copied, and its words are declared trivial from its length
+    on; a callable declares nothing, so a list that grows after the call
+    is passed as a callable view of it."""
+    trivial_from = None
+    if not callable(nu):
+        nu = tuple(nu)
+        trivial_from = len(nu)
     words = {0: TRIVIAL_WORD}
 
     def gen(n: int) -> Word:
@@ -176,7 +190,7 @@ def nu_words(nu: NuLike) -> WordSeq:
             word = words[t] = Word((("x", 1, 1), ("y", 1, t)))
         return word
 
-    return WordSeq(gen=gen, var_budget=1)
+    return WordSeq(gen=gen, var_budget=1, trivial_from=trivial_from)
 
 
 def naturals(values, what: str) -> list[int]:

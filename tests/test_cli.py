@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from grpeq.cli import main
+from grpeq.cli import _dump, main
 from grpeq.perm import NoBound, null_sequence_from_json
 
 
@@ -422,3 +424,35 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "[0, 2, 4]\n"
+
+
+TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃𝄞", "a\nb\tc", ""])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.integers(-(10**60), 10**60)
+    | TEXT
+)
+REPORTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(REPORTS)
+@example(-(10**50))
+@example({"": [], "\u00e9": {}, "a\\": [None, True, False, 10**40]})
+def test_dump_matches_json_dumps(report):
+    assert _dump(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, Fraction(1, 2), {1: "a"}, {"a": [{"b": {None: 1}}]}, [0, [2.0]], (1, 2)],
+)
+def test_dump_rejects_what_a_report_cannot_hold(bad):
+    with pytest.raises(TypeError):
+        _dump(bad)

@@ -1,6 +1,7 @@
 """Free-group side: roots, projections, chains, and diagonalization."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -197,6 +198,42 @@ def test_enumeration_golden_one_generator():
     z = SubBasis.first(1)
     got = [enumerate_h(z, n) for n in range(5)]
     assert got == [E, Z1, Z1**-1, Z1**2, Z1**-2]
+
+
+def recursive_h_elements(basis, count):
+    """The first count elements of F(z1..z_basis) by plain recursion: the
+    reduced words of each length extend those one letter shorter, in
+    length-then-lex order with z_i before z_i^-1."""
+    letters = [(i, e) for i in range(1, basis + 1) for e in (1, -1)]
+
+    def of_length(length):
+        if length == 0:
+            yield ()
+            return
+        for word in of_length(length - 1):
+            for i, e in letters:
+                if not word or word[-1] != (i, -e):
+                    yield word + ((i, e),)
+
+    out = []
+    length = 0
+    while len(out) < count:
+        out += [FreeElem.from_syllables(word) for word in of_length(length)]
+        length += 1
+    return out[:count]
+
+
+@pytest.mark.parametrize("basis,count", [(1, 300), (2, 1500), (3, 1500)])
+def test_enumeration_matches_the_recursive_reference(basis, count):
+    got = list(islice(h_elements(SubBasis.first(basis)), count))
+    assert got == recursive_h_elements(basis, count)
+
+
+def test_enumeration_reaches_words_longer_than_the_recursion_limit():
+    # element 2k of F(z1) is z1^-k: element 2100 has 1050 letters, more
+    # than the default recursion limit of 1000 frames
+    elements = islice(h_elements(SubBasis.first(1)), 2100, 2102)
+    assert list(elements) == [FreeElem.gen(1, -1050), FreeElem.gen(1, 1051)]
 
 
 def test_enumeration_golden_four_generators():

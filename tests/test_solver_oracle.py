@@ -6,7 +6,9 @@ answers every pair from one prefix sum and one sorted list of nontrivial
 indices, memoized across queries; the references are a fresh index per
 pair and the least pair make_witness accepts.  The limit rows are checked
 against their equations and against exact downward substitution, over
-explicit and Cauchy driving sequences as well as the built-in one.
+explicit and Cauchy driving sequences as well as the built-in one.  The
+limit reads a list prefix's values at depth at most trivial_from; the
+reference is approx at the witness's own stabilization bound.
 """
 
 import random
@@ -26,8 +28,16 @@ from grpeq.scale import (
     make_witness,
     obeys_certificate,
 )
-from grpeq.solver import PERM_OPS, LimitAutomorphism, approx, verify_solution
-from grpeq.words import evaluate, nu_words, random_sparse_nu_prefix
+import grpeq.solver as solver
+from grpeq.solver import (
+    PERM_OPS,
+    LimitAutomorphism,
+    WitnessNotFound,
+    approx,
+    stabilization_bound,
+    verify_solution,
+)
+from grpeq.words import evaluate, nu_at, nu_words, random_sparse_nu_prefix
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -234,3 +244,95 @@ def test_limit_rows_solve_their_equations_beyond_the_builtin_family(kind, seed, 
         [exact(n, m) for m in range(mw)] for n in range(nw)
     ]
     assert verify_solution(limit, nw, mw) == []
+
+
+CAPPED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@CAPPED
+@given(kind=st.sampled_from(["builtin", "cauchy"]), seed=st.integers(0, 10**6),
+       budget=st.integers(1, 2), span=st.integers(4, 12))
+def test_capped_limit_reads_match_the_uncapped_truncation(kind, seed, budget, span):
+    # term n moves points near 2n, so a point window past 2 * span reaches
+    # every nonzero entry of the prefix
+    d = driving_sequence(kind, seed, terms=1000)
+    prefix = random_sparse_nu_prefix(random.Random(seed), span=span, length=span + 2)
+    w = nu_words(prefix)
+    s = build_scale(d, budget, 1)
+    limit = LimitAutomorphism(d, w, s, search_bound=4096)
+    tables = {}
+    for n in range(4):
+        for m in range(2 * span + 6):
+            k = stabilization_bound(limit.witness(n, m), s)
+            if k not in tables:
+                tables[k] = approx(d, w, k)
+            row = tables[k].row(n)
+            assert limit.apply(n, m) == row.apply(m)
+            assert limit.inverse_apply(n, m) == row.inverse_apply(m)
+    # most bounds lie past the prefix, so the reference read deeper tables
+    assert max(tables) > w.trivial_from
+
+
+@pytest.mark.parametrize("kind", ["builtin", "cauchy"])
+def test_table_stays_the_real_truncation_past_the_trivial_tail(kind):
+    d = driving_sequence(kind, 3)
+    w = nu_words([0, 2, 0, 1, 3, 0])
+    limit = LimitAutomorphism(d, w, build_scale(d, 1, 1))
+    at_tail = approx(d, w, w.trivial_from)
+    for k in (w.trivial_from, w.trivial_from + 1, w.trivial_from + 17, 300):
+        table = limit.table(k)
+        assert table.k == k
+        # the same rows at every depth past the tail: what the cap relies on
+        assert [table.row(n) for n in range(k + 2)] == [at_tail.row(n) for n in range(k + 2)]
+
+
+@pytest.mark.parametrize("kind", ["builtin", "cauchy"])
+def test_limit_builds_no_table_deeper_than_the_trivial_tail(kind, monkeypatch):
+    built = []
+
+    def recording_approx(d, w, k):
+        built.append(k)
+        return approx(d, w, k)
+
+    monkeypatch.setattr(solver, "approx", recording_approx)
+    # the window's witnesses read the scale far out, past 200 Cauchy terms
+    d = driving_sequence(kind, 5, terms=1000)
+    prefix = random_sparse_nu_prefix(random.Random(5))
+    w = nu_words(prefix)
+    s = build_scale(d, 1, 1)
+    limit = LimitAutomorphism(d, w, s, search_bound=4096)
+    nw, mw = 4, 64
+    exact = exact_limit(d, prefix)
+    assert [[limit.apply(n, m) for m in range(mw)] for n in range(nw)] == [
+        [exact(n, m) for m in range(mw)] for n in range(nw)
+    ]
+    assert verify_solution(limit, nw, mw) == []
+    assert built and max(built) <= w.trivial_from
+    assert len(built) == len(set(built))
+    # the window's stabilization bounds run far past the tail
+    assert stabilization_bound(limit.witness(nw - 1, mw - 1), s) > 10 * w.trivial_from
+
+
+@pytest.mark.parametrize("kind", ["builtin", "cauchy"])
+def test_callable_words_declare_nothing_and_read_the_same_limit(kind):
+    d = driving_sequence(kind, 11)
+    prefix = random_sparse_nu_prefix(random.Random(11))
+    listed = nu_words(prefix)
+    called = nu_words(lambda n: nu_at(prefix, n))
+    assert called.trivial_from is None
+    assert [called.gen(n) for n in range(60)] == [listed.gen(n) for n in range(60)]
+    s = build_scale(d, 1, 1)
+    capped = LimitAutomorphism(d, listed, s)
+    uncapped = LimitAutomorphism(d, called, s)
+    for n in range(4):
+        for m in range(16):
+            assert capped.apply(n, m) == uncapped.apply(n, m)
+            assert capped.inverse_apply(n, m) == uncapped.inverse_apply(n, m)
+
+
+def test_a_missing_witness_still_raises_under_the_cap():
+    d = NullSequence.transpositions()
+    limit = LimitAutomorphism(d, nu_words([1]), build_scale(d, 1, 1), search_bound=2)
+    with pytest.raises(WitnessNotFound) as exc:
+        limit.apply(0, 5)
+    assert (exc.value.n, exc.value.m) == (0, 5)

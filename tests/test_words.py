@@ -170,6 +170,20 @@ def test_nu_words_reuses_one_word_per_exponent():
             wrapped.gen(4)
 
 
+def test_nu_words_declares_a_trivial_tail_only_for_a_list():
+    entries = [0, 2, 0, 1]
+    w = nu_words(entries)
+    assert w.trivial_from == 4
+    # the list is copied: a later append changes no word and no declaration
+    entries.append(3)
+    assert w.gen(4) is TRIVIAL_WORD and w.trivial_from == 4
+    view = nu_words(lambda n: nu_at(entries, n))
+    assert view.trivial_from is None
+    assert view.gen(4) == Word((("x", 1, 1), ("y", 1, 3)))
+    assert [view.gen(n) for n in range(4)] == [w.gen(n) for n in range(4)]
+    assert nu_words([]).trivial_from == 0
+
+
 def test_nu_at():
     assert nu_at([0, 2], 1) == 2
     assert nu_at([0, 2], 5) == 0
