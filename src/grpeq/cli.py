@@ -6,9 +6,9 @@ the two-sided contrast experiment.  All reports are canonical JSON (sorted
 keys, two-space indent), so identical configurations produce identical
 bytes.
 
-Exit codes: 0 ok, 1 other input error (among them a malformed --scale
-file, or one with fewer entries than the run reads: the line names both
-counts), 2 no obeys
+Exit codes: 0 ok, 1 other input error (among them a usage error such as
+a missing or malformed option, a malformed --scale file, or one with
+fewer entries than the run reads: the line names both counts), 2 no obeys
 witness for some pair, 3 no stabilization witness for a queried point,
 4 bad driving sequence, 5 verification failure.  Every error is one
 "error:" line on stderr.
@@ -226,24 +226,18 @@ def _enumeration(args):
     return list(islice(freegrp.h_elements(basis), args.count)).__getitem__
 
 
-def _diagonal(s, h, args) -> freegrp.NuPrefix:
-    return freegrp.diagonalize(freegrp.ascending_generators(), s, h, args.count)
-
-
-def _audit(prefix, s, h, args) -> dict:
-    return freegrp.reverify(prefix, freegrp.ascending_generators(), s, h, args.count)
-
-
 def cmd_diagonalize(args) -> int:
     s = _load_scale(args.scale, args.budget)
-    _emit(_dump(_diagonal(s, _enumeration(args), args).to_json()), args.out)
+    prefix = freegrp.diagonalize(freegrp.ascending_generators(), s, _enumeration(args), args.count)
+    _emit(_dump(prefix.to_json()), args.out)
     return EXIT_OK
 
 
 def cmd_verify_blocked(args) -> int:
     prefix = freegrp.NuPrefix.from_json(_load_json(args.nu))
     s = _load_scale(args.scale, args.budget) if args.scale or args.check_witnesses else None
-    report = _audit(prefix, s, _enumeration(args), args)
+    asc = freegrp.ascending_generators()
+    report = freegrp.reverify(prefix, asc, s, _enumeration(args), args.count)
     report["command"] = "verify-blocked"
     report["config"] = {"basis": args.basis, "count": args.count, "nu": args.nu}
     _emit(_dump(report), args.out)
@@ -264,9 +258,9 @@ def cmd_contrast(args) -> int:
         closure_ok = closure_check(limit, structure, args.window[1])
         report["closure"] = "ok" if closure_ok else "violation"
 
-    h = _enumeration(args)
-    prefix = _diagonal(s, h, args)
-    audit = _audit(prefix, s, h, args)
+    h, asc = _enumeration(args), freegrp.ascending_generators()
+    prefix = freegrp.diagonalize(asc, s, h, args.count)
+    audit = freegrp.reverify(prefix, asc, s, h, args.count)
     blocked = audit["ok"]
 
     report["command"] = "contrast"
@@ -291,12 +285,20 @@ def cmd_contrast(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 1 with one error line
+    like any other input error; argparse's own exit 2 means not obeying."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grpeq",
         description="Word-equation systems over permutation groups versus free groups.",
         epilog=(
-            "exit codes: 0 ok, 1 input error, 2 not obeying, 3 witness not found, "
+            "exit codes: 0 ok, 1 input or usage error, 2 not obeying, 3 witness not found, "
             "4 bad driving sequence, 5 verification failure"
         ),
     )
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-witnesses",
         action="store_true",
-        help="also rebuild logged witnesses against the built-in scale",
+        help="also rebuild logged witnesses, against the built-in scale; "
+        "--scale F alone turns this check on, against F",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_blocked)
@@ -355,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in ("count", "depth"):
             if getattr(args, name, 0) < 0:
                 raise ValueError(f"--{name} must be a natural")
@@ -372,7 +375,10 @@ def main(argv=None) -> int:
     except (freegrp.BadDSeq, NotNull, NoBound, ShortPrefix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DSEQ
-    except (ValueError, OSError, KeyError, ShortScale) as exc:
+    except KeyError as exc:  # a JSON object without a required field
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, ShortScale) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,37 +92,6 @@ class FreeElem:
             out.extend((i, sign) for _ in range(abs(e)))
         return out
 
-    def generators(self) -> set[int]:
-        return {i for i, _ in self.letters}
-
-    def __str__(self) -> str:
-        return format_free(self)
-
-
-def format_free(g: FreeElem) -> str:
-    """Text form "z1 z2^-3"; the identity renders as "e"."""
-    if g.is_identity:
-        return "e"
-    parts = []
-    for i, e in g.letters:
-        parts.append(f"z{i}" if e == 1 else f"z{i}^{e}")
-    return " ".join(parts)
-
-
-def parse_free(text: str) -> FreeElem:
-    import re
-
-    text = text.strip()
-    if text in ("", "e"):
-        return FreeElem()
-    syllables = []
-    for token in text.split(" "):
-        m = re.match(r"^z([0-9]+)(?:\^(-?[0-9]+))?$", token)
-        if not m:
-            raise ValueError(f"bad generator token {token!r}")
-        syllables.append((int(m.group(1)), 1 if m.group(2) is None else int(m.group(2))))
-    return FreeElem.from_syllables(syllables)
-
 
 def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
     """Split g as u * core * u^-1 with the core cyclically reduced and the
@@ -178,24 +147,18 @@ def no_root_exponent(g: FreeElem) -> int:
 
 @dataclass(frozen=True)
 class SubBasis:
-    """A finite or cofinite set of generator indices.
-
-    For complement=False the set is exactly `indices`; for complement=True
-    it is everything except `indices`.
-    """
+    """A finite nonempty set of generator indices."""
 
     indices: frozenset[int]
-    complement: bool = False
 
     def __post_init__(self):
         if any(i < 1 for i in self.indices):
             raise ValueError("generator indices start at 1")
-        if not self.complement and not self.indices:
+        if not self.indices:
             raise ValueError("a sub-basis must be nonempty")
 
     def __contains__(self, index: int) -> bool:
-        inside = index in self.indices
-        return not inside if self.complement else inside
+        return index in self.indices
 
     @classmethod
     def first(cls, k: int) -> "SubBasis":
@@ -212,38 +175,28 @@ def h_elements(z: SubBasis) -> Iterator[FreeElem]:
     """All reduced words over a finite sub-basis in length-then-lex order.
 
     Letters are ordered z_i before z_i^-1, ascending in i.  The identity
-    comes first.  Each length is a depth-first walk with an explicit stack
-    of letter iterators, one per position, so a long word costs no
-    recursion.
+    comes first.  The words of length L + 1 are those of length L, in
+    order, each followed by every letter that does not cancel its last
+    letter.  That letter merges into the last syllable, so a new word
+    touches only its tail and a long word costs no recursion.
     """
-    if z.complement:
-        raise ValueError("enumeration needs a finite sub-basis")
-    letters = []
-    for i in sorted(z.indices):
-        letters.append((i, 1))
-        letters.append((i, -1))
-
+    letters = [(i, e) for i in sorted(z.indices) for e in (1, -1)]
     yield FreeElem.identity()
-    length = 1
+    level = [()]
     while True:
-        prefix: list[tuple[int, int]] = []
-        stack = [iter(letters)]
-        while stack:
-            for let in stack[-1]:
-                if prefix and prefix[-1][0] == let[0] and prefix[-1][1] == -let[1]:
-                    continue
-                prefix.append(let)
-                if len(prefix) < length:
-                    stack.append(iter(letters))
-                    break
-                yield FreeElem.from_syllables(prefix)
-                prefix.pop()
-            else:
-                # this position's letters are used up: back up one position
-                stack.pop()
-                if prefix:
-                    prefix.pop()
-        length += 1
+        longer = []
+        for word in level:
+            last, exp = word[-1] if word else (0, 0)
+            for i, e in letters:
+                if i != last:
+                    new = word + ((i, e),)
+                elif (e > 0) == (exp > 0):
+                    new = word[:-1] + ((i, exp + e),)
+                else:
+                    continue  # the letter cancels the last one
+                longer.append(new)
+                yield FreeElem(new)
+        level = longer
 
 
 def enumerate_h(z: SubBasis, n: int) -> FreeElem:
@@ -259,11 +212,11 @@ def ascending_generators() -> Callable[[int], FreeElem]:
     return lambda n: FreeElem.gen(n + 1)
 
 
-DSeqLike = Union[Callable[[int], FreeElem], Sequence[FreeElem]]
+DSeq = Callable[[int], FreeElem]
 
 
-def _d_at(d: DSeqLike, n: int) -> FreeElem:
-    term = d(n) if callable(d) else d[n]
+def _d_at(d: DSeq, n: int) -> FreeElem:
+    term = d(n)
     if term.is_identity:
         raise BadDSeq(f"driving term {n} is the identity")
     return term
@@ -315,7 +268,7 @@ def chain_step(st: ChainState, d_next: FreeElem, nu_n: int) -> ChainState:
     return ChainState(st.position + 1, root)
 
 
-def chain_run(a: FreeElem, d: DSeqLike, entries: Sequence[int]) -> ChainState:
+def chain_run(a: FreeElem, d: DSeq, entries: Sequence[int]) -> ChainState:
     """Fold the chain from b_0 = a through the exponent prefix, consuming
     the driving term at each position.  Dead absorbs the rest."""
     st = ChainState.start(a)
@@ -401,7 +354,7 @@ class NuPrefix:
 def block(
     a: FreeElem,
     prefix: NuPrefix,
-    d: DSeqLike,
+    d: DSeq,
     target: Optional[int] = None,
 ) -> NuPrefix:
     """Extend the prefix in place by at most two entries so the chain from
@@ -436,7 +389,7 @@ def block(
 
 
 def diagonalize(
-    d: DSeqLike,
+    d: DSeq,
     s: Scale,
     enumeration: Callable[[int], FreeElem],
     count: int,
@@ -514,7 +467,7 @@ def _witness_failures(prefix: NuPrefix, s: Scale) -> list[dict]:
 
 def reverify(
     prefix: NuPrefix,
-    d: DSeqLike,
+    d: DSeq,
     s: Optional[Scale],
     enumeration: Callable[[int], FreeElem],
     count: int,

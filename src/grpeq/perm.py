@@ -85,10 +85,6 @@ class Perm:
         raise AttributeError("Perm is immutable")
 
     @classmethod
-    def identity(cls) -> "Perm":
-        return cls()
-
-    @classmethod
     def transposition(cls, a: int, b: int) -> "Perm":
         if a == b:
             raise ValueError("transposition needs two distinct points")
@@ -124,10 +120,6 @@ class Perm:
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._map))
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: sorted [point, image] pairs, fixed points omitted."""
-        return [[k, self._map[k]] for k in sorted(self._map)]
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "Perm":
@@ -209,12 +201,10 @@ class NullSequence:
         gen: Callable[[int], Perm],
         mover_bound: Callable[[int], int],
         length: Optional[int] = None,
-        name: str = "custom",
     ):
         self._gen = gen
         self._mover_bound = mover_bound
         self.length = length
-        self.name = name
 
     def perm(self, n: int) -> Perm:
         if n < 0:
@@ -236,7 +226,6 @@ class NullSequence:
             gen=lambda n: Perm.transposition(2 * n, 2 * n + 1),
             mover_bound=lambda m: m // 2 + 1,
             length=None,
-            name="transpositions",
         )
 
     @classmethod
@@ -273,7 +262,7 @@ class NullSequence:
                 return bounds[m]
             raise NoBound(f"no mover bound declared for point {m}")
 
-        return cls(gen=lambda n: terms[n], mover_bound=lookup, length=len(terms), name="explicit")
+        return cls(gen=lambda n: terms[n], mover_bound=lookup, length=len(terms))
 
 
 def cauchy_to_null(c: Sequence[Perm]) -> NullSequence:
@@ -321,42 +310,19 @@ def _quotients(c: list[dict[int, int]]) -> NullSequence:
         gen=quotient,
         mover_bound=lambda m: bounds.get(m, 0),
         length=count,
-        name="cauchy",
     )
-
-
-def check_null(d: NullSequence, window: int) -> bool:
-    """Finite convergence check: every point below the window is fixed by all
-    terms between its mover bound and the window."""
-    limit = window if d.length is None else min(window, d.length)
-    for m in range(window):
-        k0 = d.mover_bound(m)
-        for k in range(k0, limit):
-            if d.perm(k).apply(m) != m:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
 class Structure:
     """A decidable automorphism test over the naturals.
 
-    check validates a finitely supported permutation in one shot.
     check_window validates an arbitrary pointwise-given map on an initial
     segment, which is what lazily evaluated limits can offer.
     """
 
     name: str
-    check: Callable[[Perm], bool]
     check_window: Callable[[Callable[[int], int], int], bool]
-
-
-def _matching_check(f: Perm) -> bool:
-    # Edges are {2n, 2n+1}, i.e. partner(p) = p XOR 1.  Only edges touching
-    # the support can break, and partners of moved points must be checked too.
-    pts = set(f.support())
-    pts |= {p ^ 1 for p in pts}
-    return all(f.apply(p ^ 1) == f.apply(p) ^ 1 for p in pts)
 
 
 def _matching_check_window(apply_fn: Callable[[int], int], window: int) -> bool:
@@ -369,13 +335,11 @@ def _matching_check_window(apply_fn: Callable[[int], int], window: int) -> bool:
 
 TRIVIAL_STRUCTURE = Structure(
     name="trivial",
-    check=lambda f: True,
     check_window=lambda apply_fn, window: True,
 )
 
 MATCHING_STRUCTURE = Structure(
     name="matching",
-    check=_matching_check,
     check_window=_matching_check_window,
 )
 

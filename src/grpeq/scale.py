@@ -187,8 +187,6 @@ class ObeysWitness:
 
     The interval of scale values [j(i0), j(i1)] carries only trivial words,
     and the words between n* and j(i0) are jointly shorter than i1 - i0.
-    The length sums behind the second clause are not stored: cum_lengths
-    derives them from the words and the scale when asked.
     """
 
     n_star: int
@@ -203,16 +201,6 @@ class ObeysWitness:
             "i0": self.i0,
             "i1": self.i1,
         }
-
-
-def cum_lengths(w: WordSeq, s: Scale, wit: ObeysWitness) -> tuple[int, ...]:
-    """The cumulative lengths behind a witness: entry p is the total length
-    of words n*, ..., n*+p-1, from 0 at p = 0 up to p = j(i0) - n*.  Just
-    (0,) when j(i0) < n*."""
-    cum = [0]
-    for i in range(wit.n_star, s.value(wit.i0)):
-        cum.append(cum[-1] + w.gen(i).length())
-    return tuple(cum)
 
 
 def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:

@@ -12,7 +12,7 @@ read off a single finite table.
 from __future__ import annotations
 
 from .perm import IDENTITY, NullSequence, Perm, Structure, compose
-from .scale import ObeysWitness, Scale, WitnessIndex, find_witness
+from .scale import ObeysWitness, Scale, WitnessIndex
 from .words import GroupOps, WordSeq, evaluate
 
 PERM_OPS = GroupOps(
@@ -155,32 +155,6 @@ def verify_solution(limit: LimitAutomorphism, n_window: int, m_window: int) -> l
             if got != want:
                 problems.append({"n": n, "m": m, "limit": got, "equation": want})
     return problems
-
-
-def verify_stabilization(
-    d: NullSequence,
-    w: WordSeq,
-    s: Scale,
-    n: int,
-    m: int,
-    delta: int,
-    search_bound: int = 128,
-) -> bool:
-    """Check that the watched value and its inverse are constant for every
-    truncation depth from the witness bound up to bound + delta."""
-    wit = find_witness(w, s, n, m, search_bound)
-    if wit is None:
-        raise WitnessNotFound(n, m)
-    k0 = stabilization_bound(wit, s)
-    base = None
-    for k in range(k0, k0 + delta + 1):
-        table = approx(d, w, k)
-        pair = (table.row(n).apply(m), table.row(n).inverse_apply(m))
-        if base is None:
-            base = pair
-        elif pair != base:
-            return False
-    return True
 
 
 def closure_check(limit: LimitAutomorphism, structure: Structure, window: int) -> bool:

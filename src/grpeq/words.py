@@ -8,26 +8,13 @@ of words is plain structural equality.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
-
-
-class ArityError(ValueError):
-    """A word mentions a variable slot the supplied arguments do not cover."""
 
 
 # A factor is (kind, index, exponent) with kind "x" or "y", index >= 1 and
 # exponent != 0 once canonical.
 Factor = tuple[str, int, int]
-
-
-def xvar(index: int, exp: int = 1) -> Factor:
-    return ("x", index, exp)
-
-
-def yvar(index: int, exp: int = 1) -> Factor:
-    return ("y", index, exp)
 
 
 @dataclass(frozen=True)
@@ -48,13 +35,6 @@ class Word:
         lx = max((i for k, i, _ in self.factors if k == "x"), default=0)
         ly = max((i for k, i, _ in self.factors if k == "y"), default=0)
         return lx, ly
-
-    def var_budget(self) -> int:
-        """Highest variable index mentioned across both families."""
-        return max(self.arities())
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 TRIVIAL_WORD = Word((("y", 1, 1),))
@@ -103,43 +83,13 @@ def _power(base, exp: int, ops: GroupOps):
 
 
 def evaluate(word: Word, xs: Sequence, ys: Sequence, ops: GroupOps):
-    """Substitute xs for the x-slots and ys for the y-slots (1-indexed)."""
-    lx, ly = word.arities()
-    if lx > len(xs):
-        raise ArityError(f"word mentions x{lx} but only {len(xs)} parameters given")
-    if ly > len(ys):
-        raise ArityError(f"word mentions y{ly} but only {len(ys)} unknowns given")
+    """Substitute xs for the x-slots and ys for the y-slots (1-indexed).
+    The caller sizes xs and ys from word.arities()."""
     acc = ops.identity
     for kind, index, exp in word.factors:
         base = xs[index - 1] if kind == "x" else ys[index - 1]
         acc = ops.multiply(acc, _power(base, exp, ops))
     return acc
-
-
-_FACTOR_RE = re.compile(r"^([xy])([0-9]+)(?:\^(-?[0-9]+))?$")
-
-
-def format_word(word: Word) -> str:
-    """Render in the text grammar: factors joined by single spaces, exponent
-    1 omitted, e.g. "x1 y1^3".  The empty word renders as ""."""
-    parts = []
-    for kind, index, exp in word.factors:
-        parts.append(f"{kind}{index}" if exp == 1 else f"{kind}{index}^{exp}")
-    return " ".join(parts)
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text:
-        return Word()
-    raw = []
-    for token in text.split(" "):
-        m = _FACTOR_RE.match(token)
-        if not m:
-            raise ValueError(f"bad word factor {token!r}")
-        kind, index, exp = m.group(1), int(m.group(2)), m.group(3)
-        raw.append((kind, index, 1 if exp is None else int(exp)))
-    return canonicalize(raw)
 
 
 @dataclass(frozen=True)

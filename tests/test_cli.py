@@ -178,6 +178,41 @@ def test_negative_window_and_depth_rejected(tmp_path, capsys, argv):
         assert "must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--nu", "nu.json", "--window", "4,16,3"],
+        ["scale"],
+        ["scale", "--count", "x"],
+    ],
+    ids=["window-three-parts", "count-missing", "count-not-int"],
+)
+def test_usage_error_exits_1_not_the_not_obeying_code(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "command,obj,field",
+    [
+        ("solve", {"kind": "explicit"}, "perms"),
+        ("verify-blocked", {"log": [{"kind": "block", "target": 0}]}, "exponent"),
+        ("verify-blocked", {"log": [{"kind": "obeys", "nStar": 0, "i0": 1, "i1": 5}]}, "mStar"),
+    ],
+    ids=["explicit-perms", "block-exponent", "obeys-mStar"],
+)
+def test_missing_json_field_is_named(tmp_path, capsys, command, obj, field):
+    path = write_json(tmp_path / "in.json", obj)
+    if command == "solve":
+        nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+        argv = ["solve", "--nu", nu, "--d", path]
+    else:
+        argv = ["verify-blocked", "--nu", path, "--count", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: missing field '{field}'\n")
+
+
 def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
     d = write_json(
         tmp_path / "d.json",

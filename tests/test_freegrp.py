@@ -22,11 +22,9 @@ from grpeq.freegrp import (
     cyclic_reduce,
     diagonalize,
     enumerate_h,
-    format_free,
     h_elements,
     has_root,
     no_root_exponent,
-    parse_free,
     project,
     reverify,
 )
@@ -79,15 +77,6 @@ def test_units_roundtrip():
         g = random_free(rng)
         assert FreeElem.from_syllables(g.units()) == g
         assert len(g.units()) == g.length()
-
-
-def test_format_parse():
-    for text in ["e", "z1", "z1 z2^-3", "z2^4"]:
-        assert format_free(parse_free(text)) == text
-    assert parse_free("") == E
-    assert str(Z1 * Z2**-3) == "z1 z2^-3"
-    with pytest.raises(ValueError):
-        parse_free("x1")
 
 
 def test_cyclic_reduce_examples():
@@ -161,8 +150,6 @@ def test_no_root_exponent_is_least_blocker():
 def test_subbasis_membership():
     finite = SubBasis.first(4)
     assert 1 in finite and 4 in finite and 5 not in finite
-    cofinite = SubBasis(frozenset({2}), complement=True)
-    assert 1 in cofinite and 2 not in cofinite and 99 in cofinite
     with pytest.raises(ValueError):
         SubBasis(frozenset())
 
@@ -172,8 +159,6 @@ def test_project_examples():
     assert project(Z1 * Z3 * Z2, z) == Z1 * Z2
     assert project(Z3**5, z) == E
     assert project(Z1 * Z3 * Z1.inverse(), z) == E
-    cofinite = SubBasis(frozenset({1}), complement=True)
-    assert project(Z1 * Z2, cofinite) == Z2
 
 
 def test_project_laws_random():
@@ -183,7 +168,7 @@ def test_project_laws_random():
         g, h = random_free(rng), random_free(rng)
         pg = project(g, z)
         assert project(pg, z) == pg
-        assert set(pg.generators()) <= {1, 2, 4}
+        assert {i for i, _ in pg.letters} <= {1, 2, 4}
         assert project(g * h, z) == pg * project(h, z)
 
 
@@ -223,7 +208,7 @@ def recursive_h_elements(basis, count):
     return out[:count]
 
 
-@pytest.mark.parametrize("basis,count", [(1, 300), (2, 1500), (3, 1500)])
+@pytest.mark.parametrize("basis,count", [(1, 300), (2, 1500), (3, 1500), (4, 2000), (6, 1000)])
 def test_enumeration_matches_the_recursive_reference(basis, count):
     got = list(islice(h_elements(SubBasis.first(basis)), count))
     assert got == recursive_h_elements(basis, count)
@@ -238,19 +223,19 @@ def test_enumeration_reaches_words_longer_than_the_recursion_limit():
 
 def test_enumeration_golden_four_generators():
     z = SubBasis.first(4)
-    got = [format_free(enumerate_h(z, n)) for n in range(11)]
+    got = [enumerate_h(z, n).letters for n in range(11)]
     assert got == [
-        "e",
-        "z1",
-        "z1^-1",
-        "z2",
-        "z2^-1",
-        "z3",
-        "z3^-1",
-        "z4",
-        "z4^-1",
-        "z1^2",
-        "z1 z2",
+        (),
+        ((1, 1),),
+        ((1, -1),),
+        ((2, 1),),
+        ((2, -1),),
+        ((3, 1),),
+        ((3, -1),),
+        ((4, 1),),
+        ((4, -1),),
+        ((1, 2),),
+        ((1, 1), (2, 1)),
     ]
 
 

@@ -12,7 +12,7 @@ from grpeq.perm import (
     Perm,
     compose,
 )
-from grpeq.scale import build_scale, cum_lengths, find_witness
+from grpeq.scale import build_scale, find_witness
 from grpeq.solver import (
     LimitAutomorphism,
     WitnessNotFound,
@@ -20,7 +20,6 @@ from grpeq.solver import (
     closure_check,
     stabilization_bound,
     verify_solution,
-    verify_stabilization,
 )
 from grpeq.words import nu_words, random_sparse_nu_prefix
 
@@ -144,14 +143,6 @@ def test_verify_solution_flags_corrupted_cache():
     assert bad["equation"] == good
 
 
-def test_verify_stabilization():
-    s = fresh_scale()
-    assert verify_stabilization(D, nu_words([1]), s, 0, 2, 8)
-    assert verify_stabilization(D, nu_words([0, 2]), s, 1, 5, 8)
-    with pytest.raises(WitnessNotFound):
-        verify_stabilization(D, nu_words(lambda n: 1), s, 0, 0, 4, search_bound=16)
-
-
 def test_interval_rows_fix_points_below_guard():
     # rows inside a witness interval only involve parameter terms past the
     # interval start, so they fix everything below the second-to-last mark,
@@ -181,9 +172,11 @@ def test_rows_below_interval_stable_under_cumulative_guard():
         L = LimitAutomorphism(D, nu_words(prefix), s)
         for n in range(3):
             wit = L.witness(n, 0)
-            cum = cum_lengths(L.w, s, wit)
             k_star = stabilization_bound(wit, s)
             j0 = s.value(wit.i0)
+            cum = [0]  # cum[p]: total length of words n*, ..., n*+p-1
+            for i in range(wit.n_star, j0):
+                cum.append(cum[-1] + L.w.gen(i).length())
             for srow in range(wit.n_star, j0):
                 p = srow - wit.n_star
                 if p >= len(cum):
