@@ -127,7 +127,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_dseq(source: str) -> NullSequence:

@@ -79,70 +79,70 @@ class FreeElem:
 
     def __pow__(self, n: int) -> "FreeElem":
         base = self if n >= 0 else self.inverse()
-        acc = FreeElem()
-        for _ in range(abs(n)):
-            acc = acc * base
-        return acc
-
-    def units(self) -> list[tuple[int, int]]:
-        """Unit-letter form: each syllable unrolled into (index, +-1) steps."""
-        out = []
-        for i, e in self.letters:
-            sign = 1 if e > 0 else -1
-            out.extend((i, sign) for _ in range(abs(e)))
-        return out
+        return FreeElem.from_syllables(base.letters * abs(n))
 
 
 def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
     """Split g as u * core * u^-1 with the core cyclically reduced and the
-    product reduced as written.  The split is unique in a free group."""
-    units = g.units()
-    conj: list[tuple[int, int]] = []
-    while len(units) >= 2:
-        first, last = units[0], units[-1]
-        if first[0] == last[0] and first[1] == -last[1]:
-            conj.append(first)
-            units = units[1:-1]
-        else:
+    product reduced as written.  The split is unique in a free group.  End
+    syllables that cancel move to u by the shorter one's whole exponent."""
+    syl = list(g.letters)
+    lo, hi = 0, len(syl) - 1
+    conj = []
+    while lo < hi:
+        (i, a), (j, b) = syl[lo], syl[hi]
+        if i != j or (a > 0) == (b > 0):
             break
-    return FreeElem.from_syllables(conj), FreeElem.from_syllables(units)
+        k = min(a, -b) if a > 0 else max(a, -b)
+        conj.append((i, k))
+        syl[lo], syl[hi] = (i, a - k), (i, b + k)
+        lo += syl[lo][1] == 0
+        hi -= syl[hi][1] == 0
+    return FreeElem(tuple(conj)), FreeElem(tuple(syl[lo : hi + 1]))
+
+
+def _power_form(g: FreeElem) -> tuple[FreeElem, FreeElem, int]:
+    """Split g as u * p**m * u^-1 with p cyclically reduced and not a proper
+    power; m = 0 exactly for the identity.
+
+    When the core's ends share a generator, and so a sign, conjugating by
+    the first syllable merges it into the last.  Then no two cyclically
+    adjacent syllables share a generator, and p is the shortest syllable
+    period of the core.
+    """
+    u, core = cyclic_reduce(g)
+    syl = core.letters
+    if len(syl) <= 1:  # a power of one generator, or the identity: z1^0
+        i, e = syl[0] if syl else (1, 0)
+        return u, FreeElem.gen(i, -1 if e < 0 else 1), abs(e)
+    (i, e), (j, f) = syl[0], syl[-1]
+    if i == j:
+        syl = syl[1:-1] + ((i, e + f),)
+        u = u * FreeElem.gen(i, e)
+    n = len(syl)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and syl[d:] == syl[:-d])
+    return u, FreeElem(syl[:d]), n // d
 
 
 def has_root(g: FreeElem, t: int) -> Optional[FreeElem]:
-    """The unique t-th root of g when it exists, else None.
-
-    Conjugation commutes with powers, so g = u c u^-1 has a t-th root
-    exactly when the cyclically reduced core c splits into t identical
-    letter blocks; the root is then u block u^-1.
-    """
+    """The unique t-th root of g when it exists, else None.  Centralizers
+    in a free group are cyclic, so g = u p^m u^-1 with p not a proper power
+    has one exactly when t divides m, namely u p^(m/t) u^-1."""
     if t < 2:
         raise ValueError("root exponents start at 2")
-    conj, core = cyclic_reduce(g)
-    units = core.units()
-    size = len(units)
-    if size == 0:
-        return FreeElem()
-    if size % t != 0:
+    u, p, m = _power_form(g)
+    if m % t:
         return None
-    block = units[: size // t]
-    if block * t != units:
-        return None
-    return conj * FreeElem.from_syllables(block) * conj.inverse()
+    return u * p ** (m // t) * u.inverse()
 
 
 def no_root_exponent(g: FreeElem) -> int:
-    """The least t >= 2 such that g has no t-th root.
-
-    Exists for every non-identity g: a t-th root forces the cyclically
-    reduced core to carry t identical nonempty blocks, so t never exceeds
-    the length of g, and length(g) + 1 always works.
-    """
+    """The least t >= 2 such that g has no t-th root: the least t >= 2 not
+    dividing m in g = u p^m u^-1, so at most m + 1 <= length(g) + 1."""
     if g.is_identity:
         raise IdentityInput("the identity has roots of every order")
-    for t in range(2, g.length() + 2):
-        if has_root(g, t) is None:
-            return t
-    raise AssertionError("unreachable: some exponent below length + 2 must fail")
+    m = _power_form(g)[2]
+    return next(t for t in range(2, m + 2) if m % t)
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,25 @@ def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
     assert one_error_line(err)
 
 
+@pytest.mark.parametrize("option", ["solve --nu", "solve --d", "diagonalize --scale",
+                                    "verify-blocked --nu"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, option):
+    # the JSON decoder recurses once per level, so this nesting overflows it
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    argv = {
+        "solve --nu": ["solve", "--nu", str(deep)],
+        "solve --d": ["solve", "--nu", nu, "--d", str(deep)],
+        "diagonalize --scale": ["diagonalize", "--count", "2", "--scale", str(deep)],
+        "verify-blocked --nu": ["verify-blocked", "--nu", str(deep), "--count", "2"],
+    }[option]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    assert "nested too deeply" in err
+
+
 def test_mover_bound_contract_for_points_no_term_moves(tmp_path, capsys):
     # both sequences have the terms (4 5), (6 7); an explicit prefix
     # answers only its declared points, a Cauchy prefix gives 0 for the rest

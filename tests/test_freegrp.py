@@ -71,14 +71,6 @@ def test_element_basics():
         FreeElem.gen(0)
 
 
-def test_units_roundtrip():
-    rng = random.Random(51)
-    for _ in range(200):
-        g = random_free(rng)
-        assert FreeElem.from_syllables(g.units()) == g
-        assert len(g.units()) == g.length()
-
-
 def test_cyclic_reduce_examples():
     assert cyclic_reduce(Z1 * Z2 * Z1.inverse()) == (Z1, Z2)
     assert cyclic_reduce(Z1 * Z2) == (E, Z1 * Z2)
@@ -93,10 +85,9 @@ def test_cyclic_reduce_reconstruction():
         u, core = cyclic_reduce(g)
         assert u * core * u.inverse() == g
         assert cyclic_reduce(core) == (E, core)
-        cu = core.units()
-        if len(cu) >= 2:
-            i, e = cu[0]
-            assert cu[-1] != (i, -e)
+        if len(core.letters) >= 2:  # the end syllables do not cancel
+            (i, e), (j, f) = core.letters[0], core.letters[-1]
+            assert i != j or (e > 0) == (f > 0)
 
 
 def test_has_root_examples():
@@ -319,11 +310,32 @@ def test_block_rejects_coincident_driving_terms():
 
 def test_block_kills_its_chain():
     rng = random.Random(55)
-    for _ in range(40):
-        a = random_free(rng, gens=4, size=6)
-        out = block(a, NuPrefix(), ASC)
+    seen = set()
+    for trial in range(400):
+        size = rng.choice((0, 1, rng.randint(2, 6)))
+        entries = [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)]
+        if trial % 2:
+            a = random_free(rng, gens=4, size=6)
+        else:  # solve backwards from a random end, so the chain lives: b_n = d_n b_{n+1}^t
+            a = random_free(rng, gens=4, size=4)
+            for n in reversed(range(len(entries))):
+                if entries[n]:
+                    a = ASC(n) * a ** entries[n]
+        alive = chain_run(a, ASC, entries).is_alive
+        seen.add((alive, min(len(entries), 2)))
+        old_log = [ObeysSegment(0, 0, 1, 5)] if rng.random() < 0.5 else []
+        prefix = NuPrefix(list(entries), list(old_log))
+        out = block(a, prefix, ASC, target=trial)
+        assert out is prefix
+        assert out.entries[: len(entries)] == entries
+        assert len(out.entries) - len(entries) <= 2
+        if alive:
+            assert out.log == old_log + [BlockSegment(trial, out.entries[-1])]
+        else:
+            assert out.entries == entries and out.log == old_log
         assert not chain_run(a, ASC, out.entries).is_alive
-        assert len(out.entries) <= 2
+    # chains alive and dead after 0, 1 and several entries all came up
+    assert seen == {(alive, k) for alive in (True, False) for k in (0, 1, 2)} - {(False, 0)}
 
 
 def test_nu_prefix_snapshot_and_words():
