@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .words import shown
+
 
 class NotNull(ValueError):
     """A sequence meant to converge to the identity contains the identity,
@@ -40,7 +42,7 @@ def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
         try:
             p, q = pair
         except TypeError:
-            raise ValueError(f"not a [point, image] pair: {pair!r}") from None
+            raise ValueError(f"not a [point, image] pair: {shown(pair)}") from None
         if type(p) is not int or type(q) is not int or p < 0 or q < 0:
             if isinstance(p, (list, dict)):  # unhashable, so no duplicate check
                 raise ValueError("points must be naturals")
@@ -250,7 +252,7 @@ class NullSequence:
         for pair in mover_bound_pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and all(type(x) is int and x >= 0 for x in pair)):
-                raise ValueError(f"a mover bound must be a [point, bound] pair of naturals, got {pair!r}")
+                raise ValueError(f"a mover bound must be a [point, bound] pair of naturals, got {shown(pair)}")
             bounds[pair[0]] = pair[1]
         for m, k in bounds.items():
             for idx in range(k, len(terms)):
@@ -376,7 +378,7 @@ def null_sequence_from_json(obj) -> NullSequence:
         return NullSequence.explicit(perms, obj.get("moverBound", []))
     if kind == "cauchy":
         return _quotients(_json_perms(obj["c"], "c"))
-    raise ValueError(f"unknown null sequence kind {kind!r}")
+    raise ValueError(f"unknown null sequence kind {shown(kind)}")
 
 
 def _json_perms(value, what: str) -> list[dict[int, int]]:

@@ -251,8 +251,18 @@ class WitnessIndex:
     shares: lens[x], the total length of words 0..x-1, so the length sum
     for (n*, i0) is lens[j(i0)+1] - lens[n*] with nothing rebuilt per
     query; and the sorted list of nontrivial indices read, in which one
-    bisect finds the first nontrivial word at or after j(i0).  Answers,
-    None included, are memoized per pair.
+    bisect finds the first nontrivial word at or after j(i0).
+
+    Whether a candidate i0 passes, fails or stops the search depends on n*
+    and i0 but not on m*: the query (n*, m*) answers with the first i0 at
+    or after m* + 1 that passes or stops.  So each row n* keeps, for every
+    start it has scanned, the i0 and least i1 its scan ended at; a scan
+    that runs into a start already scanned takes that end, and every start
+    it walked gets it too.  Each candidate (n*, i0) is checked at most once,
+    and a certificate over up_to pairs costs its distinct candidates, not
+    up_to rescans of each row.  A scan that raises records nothing, so a
+    repeated query reads the same entries and raises the same error.
+    Answers, None included, are memoized per pair.
     """
 
     def __init__(self, w: WordSeq, s: Scale, search_bound: int):
@@ -263,6 +273,7 @@ class WitnessIndex:
         self.search_bound = search_bound
         self._lens = [0]
         self._nontrivial: list[int] = []
+        self._rows: dict[int, dict[int, tuple[int, int]]] = {}
         self._found: dict[tuple[int, int], Optional[ObeysWitness]] = {}
 
     @property
@@ -296,22 +307,36 @@ class WitnessIndex:
         return self._found[key]
 
     def _search(self, n_star: int, m_star: int) -> Optional[ObeysWitness]:
-        s, lens, nontrivial = self.s, self._lens, self._nontrivial
-        for i0 in range(m_star + 1, self.search_bound + 1):
+        s, lens, nontrivial, bound = self.s, self._lens, self._nontrivial, self.search_bound
+        row = self._rows.get(n_star)
+        if row is None:
+            row = self._rows[n_star] = {}
+        i0 = m_star + 1
+        end = row.get(i0)
+        while end is None:
+            if i0 > bound:  # only at the start: the candidate i0 = bound stops
+                return None
             j0 = s.value(i0)
             if j0 < n_star:
                 i1 = max(i0 + 1, n_star + 1)
             else:
-                self._read_through(j0)
+                if j0 + 1 >= len(lens):  # past the frontier
+                    self._read_through(j0)
                 i1 = max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
-            if i1 > self.search_bound:
-                return None
-            j1 = s.value(i1)
-            self._read_through(j1)
-            k = bisect_left(nontrivial, j0)
-            if k == len(nontrivial) or nontrivial[k] > j1:
-                return ObeysWitness(n_star, m_star, i0, i1)
-        return None
+            if i1 <= bound:
+                j1 = s.value(i1)
+                if j1 + 1 >= len(lens):
+                    self._read_through(j1)
+                k = bisect_left(nontrivial, j0)
+                if k < len(nontrivial) and nontrivial[k] <= j1:  # i0 fails
+                    i0 += 1
+                    end = row.get(i0)
+                    continue
+            end = row[i0] = (i0, i1)  # a witness, or the stop when i1 > bound
+        for start in range(m_star + 1, i0):  # the other starts this scan walked
+            row[start] = end
+        i0, i1 = end
+        return ObeysWitness(n_star, m_star, i0, i1) if i1 <= bound else None
 
 
 def find_witness(
@@ -335,7 +360,10 @@ def find_witness(
     runs out at the same index as a clause-by-clause loop.  The length sum
     is a difference of prefix sums and the triviality clause one bisect
     ("the first nontrivial index at or after j(i0) lies past j(i1)"), so an
-    i0 costs no rescan of the words.
+    i0 costs no rescan of the words.  None of this depends on m*, which
+    only sets where the scan starts: an index keeps each row's scans, so a
+    query whose start another scan of its row has covered reads the answer
+    off it (see WitnessIndex).
     When the words are trivial from some index on (nu_words over a list),
     the search ends without the bound: once j(i0) reaches that index the
     triviality clause passes, so a bound of sys.maxsize is never reached.

@@ -143,6 +143,16 @@ def nu_words(nu: NuLike) -> WordSeq:
     return WordSeq(gen=gen, var_budget=1, trivial_from=trivial_from)
 
 
+_SHOWN_LIMIT = 100
+
+
+def shown(value) -> str:
+    """repr(value) for an error line, cut to _SHOWN_LIMIT characters plus
+    "..." when longer, so a huge rejected input gives a short line."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
+
+
 def naturals(values, what: str) -> list[int]:
     """Check that a loaded JSON value is a list of naturals and return a
     copy.  Booleans are rejected although Python counts them as ints."""
@@ -150,18 +160,30 @@ def naturals(values, what: str) -> list[int]:
         raise ValueError(f"{what} must be a JSON list")
     for t in values:
         if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-            raise ValueError(f"{what} entries must be naturals, got {t!r}")
+            raise ValueError(f"{what} entries must be naturals, got {shown(t)}")
     return list(values)
+
+
+def known_fields(obj: dict, fields: tuple[str, ...], what: str) -> None:
+    """Reject a loaded JSON object with a field outside fields, so that a
+    misspelled field is an error and not an absent one."""
+    for key in obj:
+        if key not in fields:
+            names = " and ".join(f'"{f}"' for f in fields)
+            raise ValueError(f"unknown field {shown(key)}; {what} holds {names}")
 
 
 def nu_from_json(obj) -> list[int]:
     """Validate {"prefix": [t0, t1, ...], "tail": "zero"} and return the
-    prefix, which nu_words reads as zero beyond its end."""
+    prefix, which nu_words reads as zero beyond its end.  "prefix" is
+    required (KeyError when absent), "tail" may be left out, and any other
+    field is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("an exponent sequence must be a JSON object")
+    known_fields(obj, ("prefix", "tail"), "an exponent sequence")
     if obj.get("tail", "zero") != "zero":
         raise ValueError("only zero tails are supported")
-    return naturals(obj.get("prefix", []), "prefix")
+    return naturals(obj["prefix"], "prefix")
 
 
 def nu_to_json(prefix: Sequence[int]) -> dict:

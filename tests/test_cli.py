@@ -213,6 +213,82 @@ def test_missing_json_field_is_named(tmp_path, capsys, command, obj, field):
     assert (code, out, err) == (1, "", f"error: missing field '{field}'\n")
 
 
+@pytest.mark.parametrize(
+    "command,obj,err",
+    [
+        ("solve", {"prefx": [3, 1]},
+         "error: unknown field 'prefx'; an exponent sequence holds \"prefix\" and \"tail\"\n"),
+        ("solve", {"tail": "zero"}, "error: missing field 'prefix'\n"),
+        ("verify-blocked", {"a": 1},
+         "error: unknown field 'a'; a diagonalization prefix holds \"entries\" and \"log\"\n"),
+        ("verify-blocked", {"log": []}, "error: missing field 'entries'\n"),
+    ],
+    ids=["solve-misspelled", "solve-no-prefix", "verify-unknown", "verify-no-entries"],
+)
+def test_nu_file_fields_are_required_and_known(tmp_path, capsys, command, obj, err):
+    # a misspelled or missing field is an input error, not an empty sequence
+    nu = write_json(tmp_path / "nu.json", obj)
+    argv = [command, "--nu", nu] + (["--count", "2"] if command == "verify-blocked" else [])
+    assert run(capsys, argv) == (1, "", err)
+
+
+def test_nu_tail_may_be_left_out(tmp_path, capsys):
+    short = write_json(tmp_path / "short.json", {"prefix": [1]})
+    full = write_json(tmp_path / "full.json", {"prefix": [1], "tail": "zero"})
+    code, out, err = run(capsys, ["solve", "--nu", short])
+    assert (code, err) == (0, "")
+    assert run(capsys, ["solve", "--nu", full])[1] == out
+
+    doc = {"entries": [0, 0, 2]}
+    code, out, err = run(capsys, ["verify-blocked", "--nu", write_json(tmp_path / "d.json", doc),
+                                  "--count", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
+HUGE = "x" * 1000000
+
+
+@pytest.mark.parametrize(
+    "argv,obj,short",
+    [
+        (["diagonalize", "--count", "2", "--scale"], [0, HUGE], "scale entries must be naturals, got "),
+        # JSON caps an int at 4300 digits, still a 4000-byte line unclipped
+        (["solve", "--nu", "nu.json", "--d"], {"kind": "cauchy", "c": [[int("9" * 4000)]]},
+         "not a [point, image] pair: "),
+        (["solve", "--nu", "nu.json", "--d"],
+         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, HUGE]]},
+         "a mover bound must be a [point, bound] pair of naturals, got "),
+        (["solve", "--nu", "nu.json", "--d"], {"kind": HUGE}, "unknown null sequence kind "),
+        (["solve", "--nu"], {"prefix": [1], HUGE: 0}, "unknown field "),
+        (["verify-blocked", "--count", "2", "--nu"], {"entries": [], "log": [HUGE]},
+         "log items must be JSON objects, got "),
+        (["verify-blocked", "--count", "2", "--nu"], {"entries": [], "log": [{"kind": HUGE}]},
+         "unknown log segment "),
+    ],
+    ids=["naturals", "pair", "mover-bound", "kind", "field", "log-item", "log-segment"],
+)
+def test_error_lines_clip_the_rejected_value(tmp_path, capsys, monkeypatch, argv, obj, short):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    code, out, err = run(capsys, argv + [write_json(tmp_path / "in.json", obj)])
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    assert err.startswith("error: " + short)
+    assert len(err.encode()) < 300
+    assert "..." in err
+
+
+def test_error_lines_show_a_short_value_whole(tmp_path, capsys):
+    scale = write_json(tmp_path / "scale.json", [0, "x" * 20])
+    err = run(capsys, ["diagonalize", "--count", "2", "--scale", scale])[2]
+    assert err == "error: scale entries must be naturals, got 'xxxxxxxxxxxxxxxxxxxx'\n"
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    d = write_json(tmp_path / "d.json", {"kind": "cauchy", "c": [[[0, 1], 5], [[0, 1], [1, 0]]]})
+    err = run(capsys, ["solve", "--nu", nu, "--d", d])[2]
+    assert err == "error: not a [point, image] pair: 5\n"
+
+
 def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
     d = write_json(
         tmp_path / "d.json",
@@ -478,6 +554,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "[0, 2, 4]\n"
+
+
+def test_main_in_one_process_answers_as_fresh_processes(tmp_path, monkeypatch, capsys):
+    # one process, four calls, as the benchmark and the tests drive main:
+    # nothing a call leaves behind may change the next one's answer
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1, 0, 2], "tail": "zero"})
+    calls = [
+        ["solve", "--window", "2"],
+        ["solve", "--nu", nu, "--window", "2,3"],
+        ["solve", "--nu", nu],
+        ["--help"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from inside the parser
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "grpeq.cli", *argv], capture_output=True, text=True,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃𝄞", "a\nb\tc", ""])

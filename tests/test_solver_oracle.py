@@ -3,7 +3,8 @@
 approx shares a trivial word's row with the row above it instead of
 evaluating the word; the reference evaluates every row.  WitnessIndex
 answers every pair from one prefix sum and one sorted list of nontrivial
-indices, memoized across queries; the references are a fresh index per
+indices, memoized across queries, and checks each candidate of a row once;
+the references are a fresh index per
 pair and the least pair make_witness accepts.  The limit rows are checked
 against their equations and against exact downward substitution, over
 explicit and Cauchy driving sequences as well as the built-in one.  The
@@ -15,7 +16,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grpeq.perm import IDENTITY, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
 from grpeq.scale import (
@@ -135,6 +136,21 @@ def least_pair(w, s, n_star, m_star, bound):
     return None
 
 
+class CountingScale:
+    """A scale that logs the indices read from it.  A candidate (n*, i0)
+    reads j(i0), then j(i1) unless it stops the search (i1 past the bound),
+    so a search that checks c candidates, none of them a stop, reads 2c."""
+
+    def __init__(self, s):
+        self.s = s
+        self.budget = s.budget
+        self.reads = []
+
+    def value(self, n):
+        self.reads.append(n)
+        return self.s.value(n)
+
+
 def irregular_scale(budget, gaps):
     values = [0]
     for g in gaps:
@@ -153,13 +169,16 @@ def irregular_scale(budget, gaps):
 def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, bound, order):
     s = irregular_scale(budget, gaps)
     w = nu_words(entries)
-    index = WitnessIndex(w, s, bound)
+    counted = CountingScale(s)
+    index = WitnessIndex(w, counted, bound)
     for n_star, m_star in order:
         got = index.find(n_star, m_star)
         assert got == find_witness(w, s, n_star, m_star, bound)
         assert got == least_pair(w, s, n_star, m_star, bound)
         # a repeated query answers from the memo, with the same object
         assert index.find(n_star, m_star) is got
+    # each candidate (n*, i0), i0 = 1 .. bound, is checked at most once
+    assert len(counted.reads) <= 2 * 6 * bound
 
 
 @ORACLE
@@ -201,6 +220,10 @@ def test_certificate_fails_on_the_same_pair_after_any_queries(entries, bound, up
     overshoot=st.integers(-2, 3),
     order=st.permutations([(n, m) for n in range(4) for m in range(4)]),
 )
+# (3, 0): the candidate i0 = 1 fails on the word 2, then i0 = 2 reads past
+# the loaded scale
+@example(entries=[0, 0, 9], gaps=[0, 0, 2, 0], overshoot=1,
+         order=[(n, m) for n in (3, 0, 1, 2) for m in range(4)])
 def test_index_runs_out_of_a_loaded_scale_like_a_fresh_search(entries, gaps, overshoot, order):
     s = irregular_scale(1, gaps)
     w = nu_words(entries)
@@ -211,6 +234,24 @@ def test_index_runs_out_of_a_loaded_scale_like_a_fresh_search(entries, gaps, ove
         assert got == outcome(find_witness, w, s, n_star, m_star, bound)
         if isinstance(got, tuple):
             assert got[0] is ShortScale
+            # a scan that raised recorded nothing: asked again, it raises again
+            assert outcome(index.find, n_star, m_star) == got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_checks_each_candidate_once(seed):
+    # a candidate (n*, i0) passes, fails or stops the scan whatever m* is,
+    # so the certificate's 16 queries per row share one scan of the row
+    prefix = random_sparse_nu_prefix(random.Random(seed))
+    s = build_scale(NullSequence.transpositions(), 1, 1)
+    w = nu_words(prefix)
+    counted = CountingScale(s)
+    cert = obeys_certificate(WitnessIndex(w, counted, 128), 16)
+    assert cert == [find_witness(w, s, wit.n_star, wit.m_star, 128) for wit in cert]
+    # the query (n*, m*) needs the candidates i0 = m* + 1 .. its answer's i0;
+    # every answer is a witness, so no candidate stopped a scan
+    needed = [(wit.n_star, i0) for wit in cert for i0 in range(wit.m_star + 1, wit.i0 + 1)]
+    assert len(counted.reads) == 2 * len(set(needed)) < 2 * len(needed)
 
 
 def exact_limit(d, prefix):
