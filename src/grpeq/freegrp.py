@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -208,8 +209,13 @@ def enumerate_h(z: SubBasis, n: int) -> FreeElem:
 
 def ascending_generators() -> Callable[[int], FreeElem]:
     """The driving sequence whose n-th term is the generator z_{n+1}:
-    pairwise distinct and never the identity."""
-    return lambda n: FreeElem.gen(n + 1)
+    pairwise distinct and never the identity.
+
+    Each call returns a fresh sequence that builds each term once, so a
+    command that hands one to all its chains builds every z_{n+1} once.
+    A negative n raises every time: an exception is not remembered.
+    """
+    return cache(lambda n: FreeElem.gen(n + 1))
 
 
 DSeq = Callable[[int], FreeElem]
@@ -231,8 +237,8 @@ class NoRoot:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Progress of a forward-determined solution chain.  Dead states stay
-    dead; position records where death happened."""
+    """Where a forward-determined solution chain ended: alive with its
+    residual, or dead at position with the reason."""
 
     position: int
     residual: Optional[FreeElem]
@@ -242,41 +248,36 @@ class ChainState:
     def is_alive(self) -> bool:
         return self.residual is not None
 
-    @classmethod
-    def start(cls, a: FreeElem) -> "ChainState":
-        return cls(0, a)
 
+def _fold(residual: FreeElem, position: int, d: DSeq, entries: Iterable[int]) -> ChainState:
+    """Continue a live chain, whose value at position is residual, through
+    entries, which sit at that position onward.
 
-def chain_step(st: ChainState, d_next: FreeElem, nu_n: int) -> ChainState:
-    """Advance one equation.  Exponent 0 copies the residual; exponent 1
-    pins the next value outright; exponent t >= 2 demands a t-th root and
-    kills the chain when none exists."""
-    if not st.is_alive:
-        return st
-    if d_next.is_identity:
-        raise BadDSeq(f"driving term at position {st.position} is the identity")
-    if nu_n < 0:
-        raise ValueError("exponent entries must be naturals")
-    if nu_n == 0:
-        return ChainState(st.position + 1, st.residual)
-    c = d_next.inverse() * st.residual
-    if nu_n == 1:
-        return ChainState(st.position + 1, c)
-    root = has_root(c, nu_n)
-    if root is None:
-        return ChainState(st.position, None, NoRoot(nu_n))
-    return ChainState(st.position + 1, root)
+    Each entry first fetches its driving term (the identity raises BadDSeq)
+    and then rejects a negative exponent.  Exponent 0 copies the residual;
+    exponent 1 pins the next value to d^-1 b outright; exponent t >= 2
+    demands its t-th root, and the chain dies where none exists.
+    """
+    for t in entries:
+        term = _d_at(d, position)
+        if t < 0:
+            raise ValueError("exponent entries must be naturals")
+        if t:
+            residual = term.inverse() * residual
+            if t > 1:
+                root = has_root(residual, t)
+                if root is None:
+                    return ChainState(position, None, NoRoot(t))
+                residual = root
+        position += 1
+    return ChainState(position, residual)
 
 
 def chain_run(a: FreeElem, d: DSeq, entries: Sequence[int]) -> ChainState:
     """Fold the chain from b_0 = a through the exponent prefix, consuming
-    the driving term at each position.  Dead absorbs the rest."""
-    st = ChainState.start(a)
-    for n, t in enumerate(entries):
-        if not st.is_alive:
-            break
-        st = chain_step(st, _d_at(d, n), t)
-    return st
+    the driving term at each position.  Only the position and the residual
+    are kept while it runs; one ChainState records where it ended."""
+    return _fold(a, 0, d, entries)
 
 
 @dataclass(frozen=True)
@@ -368,12 +369,15 @@ def block(
     zero entry shifts the chain to the next driving term, whose quotient
     cannot also be the identity because driving terms are distinct.  A
     driving sequence that raises leaves the prefix as it was.
+
+    The check that the new entries kill the chain continues the fold from
+    the live end state over those one or two entries; the fold is
+    deterministic, so this is the same check as a rerun from b_0.
     """
     st = chain_run(a, d, prefix.entries)
     if not st.is_alive:
         return prefix
-    n = len(prefix.entries)
-    residual = st.residual
+    n, residual = st.position, st.residual
     tail = []
     c = _d_at(d, n).inverse() * residual
     if c.is_identity:
@@ -385,7 +389,7 @@ def block(
     tail.append(t)
     prefix.entries.extend(tail)
     prefix.log.append(BlockSegment(target, t))
-    if chain_run(a, d, prefix.entries).is_alive:
+    if _fold(residual, n, d, tail).is_alive:
         raise AssertionError("blocking failed to kill the chain")
     return prefix
 

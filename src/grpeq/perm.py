@@ -33,7 +33,8 @@ def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
 
     Checks come in a fixed order: a duplicate point anywhere, then a point
     that is not a natural (booleans, floats and strings included), then a
-    map that is not a permutation of its support.  Every failure is a
+    map that is not a permutation of its support.  A pair that is not a
+    list or tuple of two values fails at once.  Every failure is a
     ValueError.
     """
     moves: dict[int, int] = {}
@@ -41,9 +42,11 @@ def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
     for pair in pairs:
         try:
             p, q = pair
-        except TypeError:
+        except (TypeError, ValueError):  # not iterable, or not two values
             raise ValueError(f"not a [point, image] pair: {shown(pair)}") from None
         if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+            if not isinstance(pair, (list, tuple)):  # "ab" or {"a": 0, "b": 1}
+                raise ValueError(f"not a [point, image] pair: {shown(pair)}")
             if isinstance(p, (list, dict)):  # unhashable, so no duplicate check
                 raise ValueError("points must be naturals")
             bad = True  # reported once every pair is checked for duplicates
@@ -222,10 +225,12 @@ class NullSequence:
     def transpositions(cls) -> "NullSequence":
         """The built-in family: term n swaps 2n and 2n+1.
 
-        Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.
+        Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.  A
+        term is a transposition by construction (perm() rejects n < 0), so
+        it is built trusted, as compose builds its products.
         """
         return cls(
-            gen=lambda n: Perm.transposition(2 * n, 2 * n + 1),
+            gen=lambda n: Perm._trusted({2 * n: 2 * n + 1, 2 * n + 1: 2 * n}),
             mover_bound=lambda m: m // 2 + 1,
             length=None,
         )

@@ -289,6 +289,21 @@ def test_error_lines_show_a_short_value_whole(tmp_path, capsys):
     assert err == "error: not a [point, image] pair: 5\n"
 
 
+@pytest.mark.parametrize(
+    "pair,shown", [([0, 1, 2], "[0, 1, 2]"), ([0], "[0]"), ("ab", "'ab'")],
+    ids=["three-values", "one-value", "string"],
+)
+@pytest.mark.parametrize("kind", ["cauchy", "explicit"])
+def test_a_pair_of_the_wrong_shape_is_named(tmp_path, capsys, kind, pair, shown):
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    perms = [[[0, 1], [1, 0], pair], [[0, 1], [1, 0], [2, 3], [3, 2]]]
+    obj = {"kind": "cauchy", "c": perms} if kind == "cauchy" else {
+        "kind": "explicit", "perms": perms, "moverBound": [[0, 1]]}
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", write_json(tmp_path / "d.json", obj)])
+    assert (code, out) == (1, "")
+    assert err == f"error: not a [point, image] pair: {shown}\n"
+
+
 def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
     d = write_json(
         tmp_path / "d.json",

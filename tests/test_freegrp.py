@@ -18,7 +18,6 @@ from grpeq.freegrp import (
     ascending_generators,
     block,
     chain_run,
-    chain_step,
     cyclic_reduce,
     diagonalize,
     enumerate_h,
@@ -246,31 +245,45 @@ def test_enumeration_injective_and_graded():
 def test_ascending_generators():
     assert ASC(0) == Z1
     assert ASC(4) == FreeElem.gen(5)
+    # each term is built once per sequence
+    asc = ascending_generators()
+    assert asc(7) is asc(7) == FreeElem.gen(8)
+    assert ascending_generators()(7) is not asc(7)  # each call starts afresh
+    for _ in range(2):  # a raising term is not remembered
+        with pytest.raises(ValueError, match="generator indices start at 1"):
+            asc(-1)
 
 
-def test_chain_step_copy_pin_root():
-    st = ChainState.start(Z1)
-    assert chain_step(st, FreeElem.gen(5), 0) == ChainState(1, Z1)
-    pinned = chain_step(ChainState.start(Z1 * Z2), Z1, 1)
-    assert pinned == ChainState(1, Z2)
-    rooted = chain_step(ChainState.start(Z1 * (Z2 * Z3) ** 2), Z1, 2)
-    assert rooted == ChainState(1, Z2 * Z3)
+def drive(*terms):
+    """A driving sequence of the given terms, then of the generators past them."""
+    return lambda n: terms[n] if n < len(terms) else FreeElem.gen(n + 1)
 
 
-def test_chain_step_root_failure_freezes_position():
-    dead = chain_step(ChainState.start(Z2), Z1, 2)
+def test_chain_run_copy_pin_root():
+    assert chain_run(Z1, drive(FreeElem.gen(5)), [0]) == ChainState(1, Z1)
+    assert chain_run(Z1 * Z2, drive(Z1), [1]) == ChainState(1, Z2)
+    assert chain_run(Z1 * (Z2 * Z3) ** 2, drive(Z1), [2]) == ChainState(1, Z2 * Z3)
+
+
+def test_chain_run_dead_chain_keeps_its_position():
+    dead = chain_run(Z2, drive(Z1), [2])
     assert not dead.is_alive
     assert dead.position == 0
     assert dead.reason == NoRoot(2)
-    # dead states absorb further steps
-    assert chain_step(dead, Z3, 1) is dead
+    # entries past the death are not read: neither a pin, nor an identity
+    # term, nor a negative exponent
+    assert chain_run(Z2, drive(Z1, Z3), [2, 1]) == dead
+    assert chain_run(Z2, drive(Z1, E), [2, -1]) == dead
 
 
-def test_chain_step_guards():
+def test_chain_run_guards():
+    with pytest.raises(BadDSeq, match="^driving term 0 is the identity$"):
+        chain_run(Z1, drive(E), [0])
+    with pytest.raises(ValueError, match="^exponent entries must be naturals$"):
+        chain_run(Z1, drive(Z1), [-1])
+    # the driving term is fetched before the exponent is read
     with pytest.raises(BadDSeq):
-        chain_step(ChainState.start(Z1), E, 0)
-    with pytest.raises(ValueError):
-        chain_step(ChainState.start(Z1), Z1, -1)
+        chain_run(Z1, drive(Z2, E), [0, -1])
 
 
 def test_chain_run_examples():

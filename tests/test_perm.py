@@ -171,6 +171,13 @@ def test_transpositions_family_shape():
     assert d.perm(5) == Perm.transposition(10, 11)
     for m in range(30):
         assert d.mover_bound(m) == m // 2 + 1
+    # terms are built trusted; each must equal the checked constructor's
+    for n in range(500):
+        term = d.perm(n)
+        assert term == Perm.transposition(2 * n, 2 * n + 1)
+        assert term._inv == term._map
+    with pytest.raises(IndexError):
+        d.perm(-1)
 
 
 def preserves_matching(f):
