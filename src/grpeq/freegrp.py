@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # make_witness, the per-segment oracle for reverify, is traced under this name
 from .scale import Scale, ShortScale, WitnessIndex, make_witness  # noqa: F401
-from .words import known_fields, naturals, nu_at, nu_words, shown
+from .words import nu_at, nu_words
 
 
 class IdentityInput(ValueError):
@@ -326,32 +326,6 @@ class NuPrefix:
             "entries": list(self.entries),
             "log": [seg.as_json() for seg in self.log],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "NuPrefix":
-        """Load the form to_json writes, raising ValueError (or KeyError for
-        a missing "entries" or segment field) on anything else.  "log" may
-        be left out."""
-        if not isinstance(obj, dict):
-            raise ValueError("a diagonalization prefix must be a JSON object")
-        known_fields(obj, ("entries", "log"), "a diagonalization prefix")
-        items = obj.get("log", [])
-        if not isinstance(items, list):
-            raise ValueError("log must be a JSON list")
-        log: list[Segment] = []
-        for item in items:
-            if not isinstance(item, dict):
-                raise ValueError(f"log items must be JSON objects, got {shown(item)}")
-            if item.get("kind") == "obeys":
-                fields = [item["nStar"], item["mStar"], item["i0"], item["i1"]]
-                log.append(ObeysSegment(*naturals(fields, "obeys segment fields")))
-            elif item.get("kind") == "block":
-                target, exponent = item["target"], item["exponent"]
-                naturals([exponent] + ([] if target is None else [target]), "block segment fields")
-                log.append(BlockSegment(target, exponent))
-            else:
-                raise ValueError(f"unknown log segment {shown(item)}")
-        return cls(entries=naturals(obj["entries"], "entries"), log=log)
 
 
 def block(

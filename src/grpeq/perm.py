@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .words import shown
 
@@ -239,26 +239,20 @@ class NullSequence:
     def explicit(
         cls,
         perms: Sequence[Perm],
-        mover_bound_pairs: Sequence[Sequence[int]],
+        mover_bounds: Union[dict[int, int], Iterable[Sequence[int]]],
     ) -> "NullSequence":
-        """A finite prefix with a declared mover bound.
+        """A finite prefix with a declared mover bound, given as a dict from
+        points to bounds or as (m, K) pairs of naturals.
 
         The declared bound is validated against the prefix: for each listed
-        (m, K), a pair of naturals, every term from K on must fix m.  Points
-        without a listed bound raise NoBound when queried.
+        (m, K), every term from K on must fix m.  Points without a listed
+        bound raise NoBound when queried.
         """
         terms = list(perms)
         for i, p in enumerate(terms):
             if p.is_identity:
                 raise NotNull(f"term {i} is the identity")
-        if not isinstance(mover_bound_pairs, (list, tuple)):
-            raise ValueError("mover bounds must be a list of [point, bound] pairs")
-        bounds = {}
-        for pair in mover_bound_pairs:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(type(x) is int and x >= 0 for x in pair)):
-                raise ValueError(f"a mover bound must be a [point, bound] pair of naturals, got {shown(pair)}")
-            bounds[pair[0]] = pair[1]
+        bounds = dict(mover_bounds)
         for m, k in bounds.items():
             for idx in range(k, len(terms)):
                 if terms[idx].apply(m) != m:
@@ -357,43 +351,3 @@ def structure_by_name(name: str) -> Structure:
     if name == "matching":
         return MATCHING_STRUCTURE
     raise ValueError(f"unknown structure {name!r}")
-
-
-def null_sequence_from_json(obj) -> NullSequence:
-    """Load a null sequence description.
-
-    Kinds: {"kind": "transpositions"} for the built-in family,
-    {"kind": "explicit", "perms": [...], "moverBound": [[m, K], ...]} for a
-    declared prefix, and {"kind": "cauchy", "c": [...]} to derive quotients
-    from a Cauchy prefix.  Permutations are sorted [point, image] pair lists,
-    each checked as Perm.from_pairs checks it (ValueError).
-
-    Mover bounds of points that no term moves differ by kind: an explicit
-    prefix answers only the points its moverBound lists, so querying any
-    other point raises NoBound, while a Cauchy prefix derives its bounds
-    from the quotients and gives 0 for a point that no quotient moves.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("a driving sequence must be a JSON object")
-    kind = obj.get("kind")
-    if kind == "transpositions":
-        return NullSequence.transpositions()
-    if kind == "explicit":
-        perms = [Perm._trusted(moves) for moves in _json_perms(obj["perms"], "perms")]
-        return NullSequence.explicit(perms, obj.get("moverBound", []))
-    if kind == "cauchy":
-        return _quotients(_json_perms(obj["c"], "c"))
-    raise ValueError(f"unknown null sequence kind {shown(kind)}")
-
-
-def _json_perms(value, what: str) -> list[dict[int, int]]:
-    """The moves of each permutation in a loaded JSON list, checked in
-    list order as Perm.from_pairs checks them."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list of permutations")
-    out = []
-    for i, pairs in enumerate(value):
-        if not isinstance(pairs, list):
-            raise ValueError(f"{what}[{i}] must be a JSON list of [point, image] pairs")
-        out.append(_checked_moves(pairs))
-    return out

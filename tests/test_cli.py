@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq.cli import _dump, main
-from grpeq.perm import NoBound, null_sequence_from_json
+from grpeq.load import null_sequence_from_json
+from grpeq.perm import NoBound
 
 
 def run(capsys, argv):
@@ -165,8 +166,9 @@ def test_negative_count_rejected(tmp_path, capsys):
         ["--window", "4,-3"],
         ["--window=-1,3"],
         ["--depth", "-5"],
+        ["--budget", "-1"],
     ],
-    ids=["window-m", "window-n", "depth"],
+    ids=["window-m", "window-n", "depth", "budget"],
 )
 def test_negative_window_and_depth_rejected(tmp_path, capsys, argv):
     nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
@@ -194,15 +196,18 @@ def test_usage_error_exits_1_not_the_not_obeying_code(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "command,obj,field",
+    "command,obj,where",
     [
-        ("solve", {"kind": "explicit"}, "perms"),
-        ("verify-blocked", {"log": [{"kind": "block", "target": 0}]}, "exponent"),
-        ("verify-blocked", {"log": [{"kind": "obeys", "nStar": 0, "i0": 1, "i1": 5}]}, "mStar"),
+        ("solve", {"kind": "explicit"}, "missing field 'perms'"),
+        ("verify-blocked", {"entries": [], "log": [{"kind": "block", "target": 0}]},
+         "log[0]: missing field 'exponent'"),
+        ("verify-blocked",
+         {"entries": [], "log": [{"kind": "obeys", "nStar": 0, "i0": 1, "i1": 5}]},
+         "log[0]: missing field 'mStar'"),
     ],
     ids=["explicit-perms", "block-exponent", "obeys-mStar"],
 )
-def test_missing_json_field_is_named(tmp_path, capsys, command, obj, field):
+def test_missing_json_field_is_named(tmp_path, capsys, command, obj, where):
     path = write_json(tmp_path / "in.json", obj)
     if command == "solve":
         nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
@@ -210,18 +215,16 @@ def test_missing_json_field_is_named(tmp_path, capsys, command, obj, field):
     else:
         argv = ["verify-blocked", "--nu", path, "--count", "2"]
     code, out, err = run(capsys, argv)
-    assert (code, out, err) == (1, "", f"error: missing field '{field}'\n")
+    assert (code, out, err) == (1, "", f"error: {path}: {where}\n")
 
 
 @pytest.mark.parametrize(
     "command,obj,err",
     [
-        ("solve", {"prefx": [3, 1]},
-         "error: unknown field 'prefx'; an exponent sequence holds \"prefix\" and \"tail\"\n"),
-        ("solve", {"tail": "zero"}, "error: missing field 'prefix'\n"),
-        ("verify-blocked", {"a": 1},
-         "error: unknown field 'a'; a diagonalization prefix holds \"entries\" and \"log\"\n"),
-        ("verify-blocked", {"log": []}, "error: missing field 'entries'\n"),
+        ("solve", {"prefx": [3, 1]}, "unknown field 'prefx'; expected one of \"prefix\", \"tail\""),
+        ("solve", {"tail": "zero"}, "missing field 'prefix'"),
+        ("verify-blocked", {"a": 1}, "unknown field 'a'; expected one of \"entries\", \"log\""),
+        ("verify-blocked", {"log": []}, "missing field 'entries'"),
     ],
     ids=["solve-misspelled", "solve-no-prefix", "verify-unknown", "verify-no-entries"],
 )
@@ -229,7 +232,7 @@ def test_nu_file_fields_are_required_and_known(tmp_path, capsys, command, obj, e
     # a misspelled or missing field is an input error, not an empty sequence
     nu = write_json(tmp_path / "nu.json", obj)
     argv = [command, "--nu", nu] + (["--count", "2"] if command == "verify-blocked" else [])
-    assert run(capsys, argv) == (1, "", err)
+    assert run(capsys, argv) == (1, "", f"error: {nu}: {err}\n")
 
 
 def test_nu_tail_may_be_left_out(tmp_path, capsys):
@@ -252,29 +255,30 @@ HUGE = "x" * 1000000
 @pytest.mark.parametrize(
     "argv,obj,short",
     [
-        (["diagonalize", "--count", "2", "--scale"], [0, HUGE], "scale entries must be naturals, got "),
+        (["diagonalize", "--count", "2", "--scale"], [0, HUGE], "[1]: expected a natural, got "),
         # JSON caps an int at 4300 digits, still a 4000-byte line unclipped
         (["solve", "--nu", "nu.json", "--d"], {"kind": "cauchy", "c": [[int("9" * 4000)]]},
-         "not a [point, image] pair: "),
+         "c[0]: not a [point, image] pair: "),
         (["solve", "--nu", "nu.json", "--d"],
          {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, HUGE]]},
-         "a mover bound must be a [point, bound] pair of naturals, got "),
+         "moverBound[0][1]: expected a natural, got "),
         (["solve", "--nu", "nu.json", "--d"], {"kind": HUGE}, "unknown null sequence kind "),
         (["solve", "--nu"], {"prefix": [1], HUGE: 0}, "unknown field "),
         (["verify-blocked", "--count", "2", "--nu"], {"entries": [], "log": [HUGE]},
-         "log items must be JSON objects, got "),
+         "log[0]: expected a JSON object, got "),
         (["verify-blocked", "--count", "2", "--nu"], {"entries": [], "log": [{"kind": HUGE}]},
-         "unknown log segment "),
+         "log[0]: unknown log segment kind "),
     ],
     ids=["naturals", "pair", "mover-bound", "kind", "field", "log-item", "log-segment"],
 )
 def test_error_lines_clip_the_rejected_value(tmp_path, capsys, monkeypatch, argv, obj, short):
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
-    code, out, err = run(capsys, argv + [write_json(tmp_path / "in.json", obj)])
+    write_json(tmp_path / "in.json", obj)
+    code, out, err = run(capsys, argv + ["in.json"])
     assert (code, out) == (1, "")
     assert one_error_line(err)
-    assert err.startswith("error: " + short)
+    assert err.startswith("error: in.json: " + short)
     assert len(err.encode()) < 300
     assert "..." in err
 
@@ -282,11 +286,11 @@ def test_error_lines_clip_the_rejected_value(tmp_path, capsys, monkeypatch, argv
 def test_error_lines_show_a_short_value_whole(tmp_path, capsys):
     scale = write_json(tmp_path / "scale.json", [0, "x" * 20])
     err = run(capsys, ["diagonalize", "--count", "2", "--scale", scale])[2]
-    assert err == "error: scale entries must be naturals, got 'xxxxxxxxxxxxxxxxxxxx'\n"
+    assert err == f"error: {scale}: [1]: expected a natural, got 'xxxxxxxxxxxxxxxxxxxx'\n"
     nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
     d = write_json(tmp_path / "d.json", {"kind": "cauchy", "c": [[[0, 1], 5], [[0, 1], [1, 0]]]})
     err = run(capsys, ["solve", "--nu", nu, "--d", d])[2]
-    assert err == "error: not a [point, image] pair: 5\n"
+    assert err == f"error: {d}: c[0]: not a [point, image] pair: 5\n"
 
 
 @pytest.mark.parametrize(
@@ -299,9 +303,11 @@ def test_a_pair_of_the_wrong_shape_is_named(tmp_path, capsys, kind, pair, shown)
     perms = [[[0, 1], [1, 0], pair], [[0, 1], [1, 0], [2, 3], [3, 2]]]
     obj = {"kind": "cauchy", "c": perms} if kind == "cauchy" else {
         "kind": "explicit", "perms": perms, "moverBound": [[0, 1]]}
-    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", write_json(tmp_path / "d.json", obj)])
+    d = write_json(tmp_path / "d.json", obj)
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--d", d])
     assert (code, out) == (1, "")
-    assert err == f"error: not a [point, image] pair: {shown}\n"
+    field = "c" if kind == "cauchy" else "perms"
+    assert err == f"error: {d}: {field}[0]: not a [point, image] pair: {shown}\n"
 
 
 def test_solve_short_explicit_prefix_exit(tmp_path, capsys):
@@ -344,9 +350,10 @@ def test_solve_odd_cauchy_exit(tmp_path, capsys):
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": 5},
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, "x"]]},
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, -3]]},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, 1], [0, 5]]},
     ],
     ids=["list", "c-int", "member-int", "pair-int", "string", "boolean", "list-point",
-         "perms-int", "bounds-int", "bound-string", "bound-negative"],
+         "perms-int", "bounds-int", "bound-string", "bound-negative", "bound-duplicate"],
 )
 def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
     d = write_json(tmp_path / "d.json", d_obj)
@@ -360,20 +367,62 @@ def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
 @pytest.mark.parametrize("option", ["solve --nu", "solve --d", "diagonalize --scale",
                                     "verify-blocked --nu"])
 def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, option):
-    # the JSON decoder recurses once per level, so this nesting overflows it
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100000 + "]" * 100000)
+    # the JSON decoder recurses once per level, so this nesting overflows
+    # it; a truncated file and one that is not UTF-8 are named the same way
+    bad = tmp_path / "bad.json"
     nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
     argv = {
-        "solve --nu": ["solve", "--nu", str(deep)],
-        "solve --d": ["solve", "--nu", nu, "--d", str(deep)],
-        "diagonalize --scale": ["diagonalize", "--count", "2", "--scale", str(deep)],
-        "verify-blocked --nu": ["verify-blocked", "--nu", str(deep), "--count", "2"],
+        "solve --nu": ["solve", "--nu", str(bad)],
+        "solve --d": ["solve", "--nu", nu, "--d", str(bad)],
+        "diagonalize --scale": ["diagonalize", "--count", "2", "--scale", str(bad)],
+        "verify-blocked --nu": ["verify-blocked", "--nu", str(bad), "--count", "2"],
     }[option]
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (1, "")
-    assert one_error_line(err)
-    assert "nested too deeply" in err
+    for content, message in [
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        (b'{"a": [1', "Expecting ',' delimiter: line 1 column 9 (char 8)"),
+        (b"\xff[0]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ]:
+        bad.write_bytes(content)
+        assert run(capsys, argv) == (1, "", f"error: {bad}: {message}\n")
+
+
+OBEYS = {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 1, "i1": 5}
+BLOCK = {"kind": "block", "target": 0, "exponent": 2}
+PAIR = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "option,doc,message",
+    [
+        ("--d", {"kind": "transpositions", "x": 1}, "unknown field 'x'; expected one of \"kind\""),
+        ("--d", {"kind": "cauchy", "c": [[], PAIR], "x": 1},
+         "unknown field 'x'; expected one of \"kind\", \"c\""),
+        ("--d", {"kind": "explicit", "perms": [PAIR], "moverbound": [[0, 1], [1, 1]]},
+         "unknown field 'moverbound'; expected one of \"kind\", \"perms\", \"moverBound\""),
+        ("--scale", {"j": list(range(0, 60, 2)), "budget": 1, "x": 1},
+         "unknown field 'x'; expected one of \"j\", \"budget\""),
+        ("--nu", {"entries": [0] * 11 + [2], "log": [{**OBEYS, "x": 1}, BLOCK]},
+         "log[0]: unknown field 'x'; "
+         "expected one of \"kind\", \"nStar\", \"mStar\", \"i0\", \"i1\""),
+        ("--nu", {"entries": [0] * 11 + [2], "log": [OBEYS, {**BLOCK, "x": 1}]},
+         "log[1]: unknown field 'x'; expected one of \"kind\", \"target\", \"exponent\""),
+        ("--d", {"kind": "explicit", "perms": [PAIR], "moverBound": [[0, 1], [0, 5]]},
+         "moverBound[1]: duplicate point 0"),
+    ],
+    ids=["transpositions", "cauchy", "explicit-misspelled", "scale", "obeys", "block",
+         "bound-duplicate"],
+)
+def test_inputs_once_read_as_valid_are_rejected(tmp_path, capsys, option, doc, message):
+    # each of these was read as if the field were not there, and the last
+    # one kept the later bound of point 0
+    path = write_json(tmp_path / "in.json", doc)
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1]})
+    argv = {
+        "--d": ["solve", "--nu", nu, "--d", path],
+        "--scale": ["diagonalize", "--count", "1", "--scale", path],
+        "--nu": ["verify-blocked", "--nu", path, "--count", "1"],
+    }[option]
+    assert run(capsys, argv) == (1, "", f"error: {path}: {message}\n")
 
 
 def test_mover_bound_contract_for_points_no_term_moves(tmp_path, capsys):
@@ -523,7 +572,7 @@ def test_scale_file_budget_reads_from_the_file(tmp_path, capsys):
     tight = write_json(tmp_path / "tight.json", {"j": [0, 2, 4], "budget": 2})
     code, out, err = run(capsys, ["diagonalize", "--count", "2", "--scale", tight])
     assert (code, out) == (1, "")
-    assert err == "error: gap 0 -> 2 does not clear budget 2\n"
+    assert err == f"error: {tight}: gap 0 -> 2 does not clear budget 2\n"
 
 
 def test_contrast_deterministic_and_two_sided(tmp_path):

@@ -27,6 +27,7 @@ from grpeq.freegrp import (
     project,
     reverify,
 )
+from grpeq.load import nu_prefix_from_json
 from grpeq.perm import NullSequence
 from grpeq.scale import build_scale, check_witness, make_witness
 
@@ -369,11 +370,11 @@ def test_nu_prefix_json_roundtrip():
     assert blob["entries"] == [0, 0, 2]
     assert blob["log"][0]["kind"] == "obeys"
     assert blob["log"][1] == {"kind": "block", "target": 0, "exponent": 2}
-    back = NuPrefix.from_json(blob)
+    back = nu_prefix_from_json(blob)
     assert back.entries == p.entries
     assert back.log == p.log
     with pytest.raises(ValueError):
-        NuPrefix.from_json({"entries": [], "log": [{"kind": "mystery"}]})
+        nu_prefix_from_json({"entries": [], "log": [{"kind": "mystery"}]})
 
 
 def test_diagonalize_count_zero():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grpeq.load import null_sequence_from_json
 from grpeq.perm import (
     IDENTITY,
     MATCHING_STRUCTURE,
@@ -16,7 +17,6 @@ from grpeq.perm import (
     cauchy_to_null,
     compose,
     metric,
-    null_sequence_from_json,
 )
 
 

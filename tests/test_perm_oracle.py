@@ -12,7 +12,8 @@ the same exception type and message.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grpeq.perm import IDENTITY, NotNull, Perm, cauchy_to_null, compose, null_sequence_from_json
+from grpeq.load import null_sequence_from_json
+from grpeq.perm import IDENTITY, NotNull, Perm, cauchy_to_null, compose
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -43,8 +44,14 @@ def dict_compose(f, g):
 
 
 def reference(c):
-    """(quotients, bounds) of a Cauchy prefix of pair lists, all eager."""
-    perms = [reference_moves(p) for p in c]
+    """(quotients, bounds) of a Cauchy prefix of pair lists, all eager.  A
+    member's message is led by its JSON path, c[i]."""
+    perms = []
+    for i, p in enumerate(c):
+        try:
+            perms.append(reference_moves(p))
+        except ValueError as exc:
+            raise ValueError(f"c[{i}]: {exc}") from None
     if len(perms) % 2:
         raise NotNull(f"cauchy prefix has odd length {len(perms)}: c[{len(perms) - 1}] has no partner")
     terms = []
@@ -159,11 +166,13 @@ def test_defects_raise_as_the_eager_reference(c, defects):
 )
 def test_checks_keep_their_order(c, message):
     # a duplicate wins over an earlier negative point, naturals over a
-    # non-permutation, and every c[i] is checked before the pairs
+    # non-permutation, and every c[i] is checked before the pairs; each case
+    # here fails at c[0], named in front of a member's message
+    want = message if message.startswith("pair ") else f"c[0]: {message}"
     for load in (reference, lambda c: null_sequence_from_json({"kind": "cauchy", "c": c})):
         with pytest.raises(ValueError) as exc:
             load(c)
-        assert str(exc.value) == message
+        assert str(exc.value) == want
 
 
 def perms(width=12):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from grpeq.load import nu_from_json
 from grpeq.perm import IDENTITY, Perm, compose
 from grpeq.words import (
     TRIVIAL_WORD,
@@ -12,7 +13,6 @@ from grpeq.words import (
     canonicalize,
     evaluate,
     nu_at,
-    nu_from_json,
     nu_to_json,
     nu_words,
     random_sparse_nu_prefix,
