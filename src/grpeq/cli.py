@@ -27,7 +27,7 @@ from typing import Optional
 from . import freegrp, load
 from .load import null_sequence_from_json
 from .perm import NoBound, NotNull, NullSequence, ShortPrefix, structure_by_name
-from .scale import NotObeying, Scale, ShortScale, build_scale, find_witness, obeys_certificate
+from .scale import NotObeying, Scale, ShortScale, WitnessIndex, build_scale, obeys_certificate
 from .solver import LimitAutomorphism, WitnessNotFound, closure_check, verify_solution
 from .words import nu_to_json, nu_words, random_sparse_nu_prefix
 
@@ -41,15 +41,43 @@ EXIT_VERIFY_FAILED = 5
 def _dump(obj) -> str:
     """The canonical report text: byte for byte what
     json.dumps(obj, indent=2, sort_keys=True) gives, plus a newline, for
-    reports built from int, str, bool, None, list and dict with str keys.
-    Anything else raises TypeError.  json.dumps runs its pure-Python
-    encoder once indent is set; this writer takes about half its time by
-    writing the int and str items of a container inline, without a call
-    per value."""
+    reports built from int, str, bool, None, list and dict with str keys,
+    where a _Witnesses stands for its list of per-pair dicts.  Anything
+    else raises TypeError.  json.dumps runs its pure-Python encoder once
+    indent is set; this writer takes about half its time by writing the int
+    and str items of a container inline, without a call per value."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+class _Witnesses:
+    """A certificate's witness list, as obeys_certificate returns it: row
+    n* holds the (i0, i1) of each pair (n*, m*) in order of m*.  _dump
+    writes it as the list of {"i0", "i1", "mStar", "nStar"} dicts in
+    row-major pair order, through one template, without building a dict
+    per pair."""
+
+    def __init__(self, rows: list[list[tuple[int, int]]]):
+        self.rows = rows
+
+    def write(self, newline: str, out: list) -> None:
+        inner = newline + "  "
+        field = "," + inner + "  "
+        template = (
+            "{" + inner + '  "i0": %d' + field + '"i1": %d' + field
+            + '"mStar": %d' + field + '"nStar": %d' + inner + "}"
+        )
+        items = [
+            template % (i0, i1, m_star, n_star)
+            for n_star, ends in enumerate(self.rows)
+            for m_star, (i0, i1) in enumerate(ends)
+        ]
+        if not items:
+            out.append("[]")
+            return
+        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
 
 
 def _scalar(value) -> str:
@@ -107,6 +135,8 @@ def _write(obj, newline: str, out: list) -> None:
             else:
                 _write(item, inner, out)
         out.append(newline + "}")
+    elif type(obj) is _Witnesses:
+        obj.write(newline, out)
     else:
         out.append(_scalar(obj))
 
@@ -147,19 +177,22 @@ def cmd_scale(args) -> int:
     return EXIT_OK
 
 
-def _sufficient_depth(exc: NotObeying, w, s, depth: int) -> NotObeying:
-    """exc, extended with the least --depth that gives its pair a witness:
-    the i1 of the pair's least witness with no bound, a search that ends
-    for a list prefix.  When that search runs past the driving terms, exc
-    is returned as it is."""
+def _sufficient_depth(exc: NotObeying, w, s, depth: int, up_to: int) -> NotObeying:
+    """exc, extended with the least --depth that certifies the whole window:
+    the largest i1 of the certificate on an index with no bound, a search
+    that ends for a list prefix.  Each pair's least witness has the least
+    i1 of all its witnesses, since the least i1 does not decrease with i0.
+    When that search runs past the driving terms, exc is returned as it
+    is."""
     try:
-        wit = find_witness(w, s, exc.n_star, exc.m_star, sys.maxsize)
+        rows = obeys_certificate(WitnessIndex(w, s, sys.maxsize), up_to)
     except (ShortPrefix, NoBound):
         return exc
+    suffices = max(i1 for ends in rows for _, i1 in ends)
     return NotObeying(
         exc.n_star,
         exc.m_star,
-        f" within --depth {depth}; --depth {wit.i1} suffices for this pair",
+        f" within --depth {depth}; --depth {suffices} suffices for this window",
     )
 
 
@@ -168,19 +201,19 @@ def _solve_report(d, nu_prefix, budget, window, depth):
     s = build_scale(d, budget, 1)
     nw, mw = window
     up_to = max(nw + 1, mw)
-    # one witness index: the limit's queries reuse the certificate's searches
+    # one witness index: the limit's queries reuse the certificate's scans
     limit = LimitAutomorphism(d, w, s, search_bound=depth)
     try:
         certificate = obeys_certificate(limit.index, up_to)
     except NotObeying as exc:
-        raise _sufficient_depth(exc, w, s, depth) from None
+        raise _sufficient_depth(exc, w, s, depth, up_to) from None
     b_star = [
         [n, [[m, limit.apply(n, m)] for m in range(mw)]] for n in range(nw)
     ]
     problems = verify_solution(limit, nw, mw)
     report = {
         "j": s.materialized(),
-        "witnesses": [wit.as_json() for wit in certificate],
+        "witnesses": _Witnesses(certificate),
         "bStar": b_star,
         "equationCheck": "ok" if not problems else problems,
     }

@@ -194,14 +194,6 @@ class ObeysWitness:
     i0: int
     i1: int
 
-    def as_json(self) -> dict:
-        return {
-            "nStar": self.n_star,
-            "mStar": self.m_star,
-            "i0": self.i0,
-            "i1": self.i1,
-        }
-
 
 def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
     """The first index in [j(i0), j(i1)] whose word is not trivial, or None."""
@@ -244,8 +236,9 @@ def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
 
 class WitnessIndex:
     """Least witnesses over one word sequence and scale, with the work
-    shared between queries.  find(n*, m*) runs the search find_witness
-    describes; find_witness is one query on a fresh index.
+    shared between queries.  ends(n*, first, last) answers the pairs of row
+    n* from m* = first - 1 to last - 1 with one scan; find(n*, m*) is that
+    scan for one pair, and find_witness describes the search.
 
     Words are read once, in index order, into two structures every query
     shares: lens[x], the total length of words 0..x-1, so the length sum
@@ -254,15 +247,20 @@ class WitnessIndex:
     bisect finds the first nontrivial word at or after j(i0).
 
     Whether a candidate i0 passes, fails or stops the search depends on n*
-    and i0 but not on m*: the query (n*, m*) answers with the first i0 at
-    or after m* + 1 that passes or stops.  So each row n* keeps, for every
-    start it has scanned, the i0 and least i1 its scan ended at; a scan
-    that runs into a start already scanned takes that end, and every start
-    it walked gets it too.  Each candidate (n*, i0) is checked at most once,
-    and a certificate over up_to pairs costs its distinct candidates, not
-    up_to rescans of each row.  A scan that raises records nothing, so a
-    repeated query reads the same entries and raises the same error.
-    Answers, None included, are memoized per pair.
+    and i0 but not on m*: the pair (n*, m*) answers with the first i0 at or
+    after its start m* + 1 that passes or stops.  So a row's scan checks
+    the candidates in order, each once, and hands the end it reaches, the
+    i0 and its least i1, to every start it walked.  Each row keeps these
+    ends for every start resolved so far; a scan that reaches a resolved
+    start takes its end and checks nothing again.  A certificate's row is
+    one scan from i0 = 1 (see obeys_certificate): it checks the candidates
+    in the order, and reads the scale and the words in the order, that one
+    query per pair in row-major order would, so a short driving prefix or a
+    loaded scale raises at the same entry with the same message.  Its ends
+    stay in the row, so the limit's later find calls on those pairs read no
+    new entry.  A walk that raises records nothing, so a repeated query
+    reads the same entries and raises the same error.  find memoizes its
+    answers, None included, per pair; ends builds no object per pair.
     """
 
     def __init__(self, w: WordSeq, s: Scale, search_bound: int):
@@ -303,40 +301,52 @@ class WitnessIndex:
         with i1 within the search bound, or None."""
         key = (n_star, m_star)
         if key not in self._found:
-            self._found[key] = self._search(n_star, m_star)
+            ends = self.ends(n_star, m_star + 1, m_star + 1)
+            self._found[key] = ObeysWitness(n_star, m_star, *ends[0]) if ends else None
         return self._found[key]
 
-    def _search(self, n_star: int, m_star: int) -> Optional[ObeysWitness]:
+    def ends(self, n_star: int, first: int, last: int) -> list[tuple[int, int]]:
+        """The least witness (i0, i1) within the search bound of each pair
+        (n*, m*) with first <= m* + 1 <= last, in order of m*, ending before
+        the first pair that has none."""
         s, lens, nontrivial, bound = self.s, self._lens, self._nontrivial, self.search_bound
         row = self._rows.get(n_star)
         if row is None:
             row = self._rows[n_star] = {}
-        i0 = m_star + 1
-        end = row.get(i0)
-        while end is None:
-            if i0 > bound:  # only at the start: the candidate i0 = bound stops
-                return None
-            j0 = s.value(i0)
-            if j0 < n_star:
-                i1 = max(i0 + 1, n_star + 1)
-            else:
-                if j0 + 1 >= len(lens):  # past the frontier
-                    self._read_through(j0)
-                i1 = max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
-            if i1 <= bound:
-                j1 = s.value(i1)
-                if j1 + 1 >= len(lens):
-                    self._read_through(j1)
-                k = bisect_left(nontrivial, j0)
-                if k < len(nontrivial) and nontrivial[k] <= j1:  # i0 fails
-                    i0 += 1
-                    end = row.get(i0)
-                    continue
-            end = row[i0] = (i0, i1)  # a witness, or the stop when i1 > bound
-        for start in range(m_star + 1, i0):  # the other starts this scan walked
-            row[start] = end
-        i0, i1 = end
-        return ObeysWitness(n_star, m_star, i0, i1) if i1 <= bound else None
+        out: list[tuple[int, int]] = []
+        start = first
+        while start <= last:
+            i0 = start
+            end = row.get(i0)
+            while end is None:
+                if i0 > bound:  # only at a start: the candidate i0 = bound stops
+                    return out
+                j0 = s.value(i0)
+                if j0 < n_star:
+                    i1 = max(i0 + 1, n_star + 1)
+                else:
+                    if j0 + 1 >= len(lens):  # past the frontier
+                        self._read_through(j0)
+                    i1 = max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+                if i1 <= bound:
+                    j1 = s.value(i1)
+                    if j1 + 1 >= len(lens):
+                        self._read_through(j1)
+                    k = bisect_left(nontrivial, j0)
+                    if k < len(nontrivial) and nontrivial[k] <= j1:  # i0 fails
+                        i0 += 1
+                        end = row.get(i0)
+                        continue
+                end = row[i0] = (i0, i1)  # a witness, or the stop when i1 > bound
+            for walked in range(start, i0):  # the other starts this walk resolved
+                row[walked] = end
+            i0, i1 = end
+            if i1 > bound:
+                return out
+            # every start from this one to i0 ends at (i0, i1)
+            out += [end] * (min(i0, last) - start + 1)
+            start = i0 + 1
+        return out
 
 
 def find_witness(
@@ -361,9 +371,9 @@ def find_witness(
     is a difference of prefix sums and the triviality clause one bisect
     ("the first nontrivial index at or after j(i0) lies past j(i1)"), so an
     i0 costs no rescan of the words.  None of this depends on m*, which
-    only sets where the scan starts: an index keeps each row's scans, so a
-    query whose start another scan of its row has covered reads the answer
-    off it (see WitnessIndex).
+    only sets where the scan starts: an index answers a whole row n* with
+    one scan over its candidates, and a query whose start a scan of its row
+    has passed reads the answer off it (see WitnessIndex).
     When the words are trivial from some index on (nu_words over a list),
     the search ends without the bound: once j(i0) reaches that index the
     triviality clause passes, so a bound of sys.maxsize is never reached.
@@ -371,14 +381,15 @@ def find_witness(
     return WitnessIndex(w, s, search_bound).find(n_star, m_star)
 
 
-def obeys_certificate(index: WitnessIndex, up_to: int) -> list[ObeysWitness]:
-    """Witnesses for every pair below up_to, in row-major pair order.
-    Raises NotObeying at the first pair without a witness."""
-    out = []
+def obeys_certificate(index: WitnessIndex, up_to: int) -> list[list[tuple[int, int]]]:
+    """For each row n* < up_to, the least witness (i0, i1) of every pair
+    (n*, m*) with m* < up_to, in order of m*: one scan per row, with no
+    object per pair (see WitnessIndex).  Raises NotObeying at the first
+    pair, in row-major order, without a witness."""
+    rows = []
     for n_star in range(up_to):
-        for m_star in range(up_to):
-            wit = index.find(n_star, m_star)
-            if wit is None:
-                raise NotObeying(n_star, m_star)
-            out.append(wit)
-    return out
+        ends = index.ends(n_star, 1, up_to)
+        if len(ends) < up_to:
+            raise NotObeying(n_star, len(ends))
+        rows.append(ends)
+    return rows

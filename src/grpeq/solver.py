@@ -82,9 +82,10 @@ class LimitAutomorphism:
     queries share one table per effective depth.  table(k) itself stays
     the real truncation at k.  The index reads each word once
     and memoizes its answers; a caller that certifies pairs first through
-    obeys_certificate(limit.index, ...) leaves those witnesses there for
-    the queries.  The memos are optimizations only: cached and recomputed
-    answers must coincide.
+    obeys_certificate(limit.index, ...) leaves each row's scan in the index,
+    so a query on a certified pair reads its witness off the row with no
+    new scale read.  The memos are optimizations only: cached and
+    recomputed answers must coincide.
     """
 
     def __init__(self, d: NullSequence, w: WordSeq, s: Scale, search_bound: int = 128):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grpeq.cli import _dump, main
+from grpeq.cli import _Witnesses, _dump, main
 from grpeq.load import null_sequence_from_json
 from grpeq.perm import NoBound
 
@@ -83,17 +83,42 @@ def test_solve_depth_too_small_names_the_depth_that_suffices(tmp_path, capsys):
     assert out == ""
     assert err == (
         "error: no witness for pair (0, 41) within --depth 128; "
-        "--depth 131 suffices for this pair\n"
+        "--depth 131 suffices for this window\n"
     )
     code, _, err = run(capsys, argv + ["--depth", "130"])
     assert code == 2
-    assert err.endswith("within --depth 130; --depth 131 suffices for this pair\n")
+    assert err.endswith("within --depth 130; --depth 131 suffices for this window\n")
     code, _, err = run(capsys, argv + ["--depth", "131"])
     assert (code, err) == (0, "")
     # contrast solves through the same path
     code, out, err = run(capsys, ["contrast", "--window", "4,42"])
     assert (code, out) == (2, "")
-    assert one_error_line(err) and "suffices for this pair" in err
+    assert one_error_line(err) and "suffices for this window" in err
+
+
+def test_solve_depth_hint_covers_the_whole_window(tmp_path, capsys):
+    # the first failing pair (0, 39) needs --depth 130, but the window's
+    # later pairs need more: one run names the depth for all of them
+    prefix = [0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 2] + [0] * 7
+    nu = write_json(tmp_path / "nu.json", {"prefix": prefix})
+    argv = ["solve", "--nu", nu, "--window", "4,42"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no witness for pair (0, 39) within --depth 128; "
+        "--depth 136 suffices for this window\n"
+    )
+    code, _, err = run(capsys, argv + ["--depth", "130"])
+    assert code == 2
+    assert err == (
+        "error: no witness for pair (0, 40) within --depth 130; "
+        "--depth 136 suffices for this window\n"
+    )
+    code, _, err = run(capsys, argv + ["--depth", "135"])
+    assert code == 2
+    assert err.endswith("within --depth 135; --depth 136 suffices for this window\n")
+    code, _, err = run(capsys, argv + ["--depth", "136"])
+    assert (code, err) == (0, "")
 
 
 def test_solve_depth_hint_stops_at_the_driving_prefix(tmp_path, capsys):
@@ -664,6 +689,65 @@ REPORTS = st.recursive(
 @example({"": [], "\u00e9": {}, "a\\": [None, True, False, 10**40]})
 def test_dump_matches_json_dumps(report):
     assert _dump(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+INDICES = st.integers(0, 5) | st.integers(0, 10**60)
+ROWS = st.lists(st.lists(st.tuples(INDICES, INDICES), max_size=4), max_size=4)
+
+
+def per_pair(rows):
+    """The witness list as the report held it before the template: one
+    dict per pair, in row-major order."""
+    return [
+        {"nStar": n_star, "mStar": m_star, "i0": i0, "i1": i1}
+        for n_star, ends in enumerate(rows)
+        for m_star, (i0, i1) in enumerate(ends)
+    ]
+
+
+def report_shape(command, witnesses, j, other):
+    """A report of the given command's shape around a witness list; other
+    stands in for the values the witnesses sit between."""
+    report = {
+        "j": j,
+        "witnesses": witnesses,
+        "bStar": other,
+        "equationCheck": "ok",
+        "command": command,
+        "config": {"depth": 128, "window": [4, 16]},
+    }
+    if command == "contrast":
+        report.update(
+            closure="ok",
+            nu={"prefix": [0, 2], "tail": "zero"},
+            permutationSide="solved",
+            diagonal=other,
+            reverify={"ok": True, "rounds": other},
+            freeSide="blocked(20)",
+        )
+    return report
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=ROWS,
+    command=st.sampled_from(["solve", "contrast"]),
+    j=st.lists(INDICES, max_size=4),
+    other=REPORTS,
+)
+@example(rows=[], command="solve", j=[], other=[])
+@example(rows=[[]], command="contrast", j=[0], other={})
+@example(rows=[[(10**50, 10**60)]], command="solve", j=[0, 2], other=None)
+@example(rows=[[(m + 1, 2 * m + 7) for m in range(9)] for _ in range(7)], command="contrast",
+         j=[0, 2, 4], other=[[0, [[0, 1]]]])
+def test_dump_writes_witness_rows_as_per_pair_dicts(rows, command, j, other):
+    report = report_shape(command, _Witnesses(rows), j, other)
+    want = report_shape(command, per_pair(rows), j, other)
+    assert _dump(report) == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    # at any depth, not only at the report's top level
+    nested = {"a": [j, {"b": _Witnesses(rows)}]}
+    want = {"a": [j, {"b": per_pair(rows)}]}
+    assert _dump(nested) == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

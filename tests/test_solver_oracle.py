@@ -21,10 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 from grpeq.perm import IDENTITY, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
 from grpeq.scale import (
     NotObeying,
+    ObeysWitness,
     Scale,
     ShortScale,
     WitnessIndex,
     build_scale,
+    check_witness,
     find_witness,
     make_witness,
     obeys_certificate,
@@ -181,6 +183,73 @@ def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, 
     assert len(counted.reads) <= 2 * 6 * bound
 
 
+def witnesses(cert):
+    """The certificate's rows as one witness per pair, in row-major order."""
+    return [
+        ObeysWitness(n_star, m_star, i0, i1)
+        for n_star, ends in enumerate(cert)
+        for m_star, (i0, i1) in enumerate(ends)
+    ]
+
+
+def plain_candidate(w, s, n_star, i0, bound):
+    """The candidate (n*, i0) from the plain clauses: its least i1 from a
+    direct length sum, and whether it passes, fails or stops the search.
+    Reads j(i0), then j(i1) when i1 is within the bound."""
+    j0 = s.value(i0)
+    total = sum(w.gen(t).length() for t in range(n_star, j0 + 1))
+    i1 = max(i0 + total + 1, n_star + 1)
+    if i1 > bound:
+        return i1, "stop"
+    j1 = s.value(i1)
+    return i1, "pass" if all(w.gen(t).is_trivial for t in range(j0, j1 + 1)) else "fail"
+
+
+def plain_walk(w, s, n_star, start, bound):
+    """The candidates, with their outcomes, that a scan of row n* from
+    start checks on its own: each in turn up to the first that passes or
+    stops; none when start is past the bound."""
+    walked = {}
+    for i0 in range(start, bound + 1):
+        walked[n_star, i0] = outcome = plain_candidate(w, s, n_star, i0, bound)[1]
+        if outcome != "fail":
+            break
+    return walked
+
+
+def plain_certificate(w, s, up_to, bound):
+    """The certificate from the plain clauses: each row checks its
+    candidates i0 = 1, 2, ... in turn, each once, as one query per pair in
+    row-major order does when each row keeps its scans.  A passing
+    candidate answers every pending start up to it; a stopping one raises
+    NotObeying for the first pending pair."""
+    rows = []
+    for n_star in range(up_to):
+        ends = []
+        i0 = 1
+        while len(ends) < up_to:
+            if i0 > bound:
+                raise NotObeying(n_star, len(ends))
+            i1, outcome = plain_candidate(w, s, n_star, i0, bound)
+            if outcome == "stop":
+                raise NotObeying(n_star, len(ends))
+            if outcome == "pass":
+                ends += [(i0, i1)] * (min(i0, up_to) - len(ends))
+            i0 += 1
+        rows.append(ends)
+    return rows
+
+
+def failure(fn, *args):
+    """fn's result, or the type, message and pair of the error it raised."""
+    try:
+        return fn(*args)
+    except NotObeying as exc:
+        return NotObeying, str(exc), (exc.n_star, exc.m_star)
+    except ShortScale as exc:
+        return ShortScale, str(exc)
+
+
 @ORACLE
 @given(
     entries=st.lists(st.sampled_from([0, 0, 1, 2]), max_size=12),
@@ -194,23 +263,32 @@ def test_certificate_fails_on_the_same_pair_after_any_queries(entries, bound, up
     # index answered before
     s = build_scale(NullSequence.transpositions(), 1, 1)
     w = nu_words(entries)
-    index = WitnessIndex(w, s, bound)
+    counted = CountingScale(s)
+    index = WitnessIndex(w, counted, bound)
+    checked = {}  # the candidates the queries and the certificate need
     for n_star, m_star in order:
         index.find(n_star, m_star)
+        checked.update(plain_walk(w, s, n_star, m_star + 1, bound))
     want = []
     missing = None
     for n_star in range(up_to):
         for m_star in range(up_to):
             wit = least_pair(w, s, n_star, m_star, bound)
+            if missing is None:
+                checked.update(plain_walk(w, s, n_star, m_star + 1, bound))
             if wit is None and missing is None:
                 missing = (n_star, m_star)
             want.append(wit)
     if missing is None:
-        assert obeys_certificate(index, up_to) == want
+        assert witnesses(obeys_certificate(index, up_to)) == want
     else:
         with pytest.raises(NotObeying) as exc:
             obeys_certificate(index, up_to)
         assert (exc.value.n_star, exc.value.m_star) == missing
+    # a scan that reaches a start an earlier scan resolved takes its end:
+    # each needed candidate was checked once, reading j(i0) and, unless it
+    # stopped the search, j(i1)
+    assert len(counted.reads) == sum(1 if kind == "stop" else 2 for kind in checked.values())
 
 
 @ORACLE
@@ -238,6 +316,64 @@ def test_index_runs_out_of_a_loaded_scale_like_a_fresh_search(entries, gaps, ove
             assert outcome(index.find, n_star, m_star) == got
 
 
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=30),
+    budget=st.integers(1, 3),
+    gaps=st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    bound=st.integers(0, 30),
+    up_to=st.integers(0, 7),
+)
+def test_certificate_rows_are_the_least_witnesses_of_their_pairs(entries, budget, gaps, bound, up_to):
+    s = irregular_scale(budget, gaps)
+    w = nu_words(entries)
+    got = failure(obeys_certificate, WitnessIndex(w, s, bound), up_to)
+    assert got == failure(plain_certificate, w, s, up_to, bound)
+    pairs = [(n_star, m_star) for n_star in range(up_to) for m_star in range(up_to)]
+    if isinstance(got, tuple):
+        # every pair before the one named has its least witness
+        missing = got[2]
+        assert least_pair(w, s, *missing, bound) is None
+        assert all(least_pair(w, s, *pair, bound) for pair in pairs[: pairs.index(missing)])
+        return
+    assert [len(ends) for ends in got] == [up_to] * up_to
+    for wit in witnesses(got):
+        assert wit == find_witness(w, s, wit.n_star, wit.m_star, bound)
+        assert wit == least_pair(w, s, wit.n_star, wit.m_star, bound)
+        assert check_witness(w, s, wit)
+
+
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 9]), max_size=20),
+    gaps=st.lists(st.integers(0, 3), min_size=1, max_size=20),
+    overshoot=st.integers(-2, 3),
+    up_to=st.integers(1, 6),
+)
+# row 0: start 1 ends at (1, 5), and candidate 2 asks for j(8), past the
+# six loaded entries
+@example(entries=[], gaps=[0, 0, 1, 1, 2], overshoot=3, up_to=3)
+def test_certificate_runs_out_of_a_loaded_scale_like_the_per_pair_path(
+    entries, gaps, overshoot, up_to
+):
+    s = irregular_scale(1, gaps)
+    w = nu_words(entries)
+    bound = len(gaps) + overshoot
+    counted, plain = CountingScale(s), CountingScale(s)
+    index = WitnessIndex(w, counted, bound)
+    got = failure(obeys_certificate, index, up_to)
+    assert got == failure(plain_certificate, w, plain, up_to, bound)
+    # the same entries, in the same order, up to the same raise
+    assert counted.reads == plain.reads
+    if got[0] is ShortScale:
+        # the walk that raised recorded nothing: asked again, the
+        # certificate walks it again, reads the same entries and raises
+        first = list(counted.reads)
+        assert failure(obeys_certificate, index, up_to) == got
+        again = counted.reads[len(first):]
+        assert again and first[-len(again):] == again
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_certificate_checks_each_candidate_once(seed):
     # a candidate (n*, i0) passes, fails or stops the scan whatever m* is,
@@ -246,12 +382,32 @@ def test_certificate_checks_each_candidate_once(seed):
     s = build_scale(NullSequence.transpositions(), 1, 1)
     w = nu_words(prefix)
     counted = CountingScale(s)
-    cert = obeys_certificate(WitnessIndex(w, counted, 128), 16)
+    cert = witnesses(obeys_certificate(WitnessIndex(w, counted, 128), 16))
     assert cert == [find_witness(w, s, wit.n_star, wit.m_star, 128) for wit in cert]
     # the query (n*, m*) needs the candidates i0 = m* + 1 .. its answer's i0;
     # every answer is a witness, so no candidate stopped a scan
     needed = [(wit.n_star, i0) for wit in cert for i0 in range(wit.m_star + 1, wit.i0 + 1)]
     assert len(counted.reads) == 2 * len(set(needed)) < 2 * len(needed)
+
+
+@pytest.mark.parametrize("kind", ["builtin", "cauchy"])
+@pytest.mark.parametrize("seed", range(4))
+def test_limit_queries_after_a_certificate_read_no_new_entry(kind, seed):
+    d = driving_sequence(kind, seed, terms=1000)
+    prefix = random_sparse_nu_prefix(random.Random(seed))
+    counted = CountingScale(build_scale(d, 1, 1))
+    limit = LimitAutomorphism(d, nu_words(prefix), counted, search_bound=128)
+    cert = witnesses(obeys_certificate(limit.index, 16))
+    reads = len(counted.reads)
+    for wit in cert:
+        assert limit.index.find(wit.n_star, wit.m_star) == wit
+    assert len(counted.reads) == reads
+    # the limit's own reads are its stabilization bounds, one per point
+    exact = exact_limit(d, prefix)
+    assert [[limit.apply(n, m) for m in range(16)] for n in range(4)] == [
+        [exact(n, m) for m in range(16)] for n in range(4)
+    ]
+    assert counted.reads[reads:] == [wit.i1 + 1 for wit in cert[: 4 * 16]]
 
 
 def exact_limit(d, prefix):
