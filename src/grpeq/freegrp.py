@@ -11,14 +11,14 @@ wide enough to host stabilization witnesses.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-# make_witness, the per-segment oracle for reverify, is traced under this name
-from .scale import Scale, ShortScale, WitnessIndex, make_witness  # noqa: F401
+from .scale import ObeysSegment, Scale, ShortScale, WitnessIndex, WordSums
+# imported only because bench/tracing.py wraps freegrp.make_witness
+from .scale import make_witness  # noqa: F401
 from .words import nu_at, nu_words
 
 
@@ -281,23 +281,6 @@ def chain_run(a: FreeElem, d: DSeq, entries: Sequence[int]) -> ChainState:
 
 
 @dataclass(frozen=True)
-class ObeysSegment:
-    n_star: int
-    m_star: int
-    i0: int
-    i1: int
-
-    def as_json(self) -> dict:
-        return {
-            "kind": "obeys",
-            "nStar": self.n_star,
-            "mStar": self.m_star,
-            "i0": self.i0,
-            "i1": self.i1,
-        }
-
-
-@dataclass(frozen=True)
 class BlockSegment:
     target: Optional[int]
     exponent: int
@@ -400,44 +383,25 @@ def diagonalize(
         j1 = s.value(wit.i1)
         if len(prefix.entries) < j1 + 1:
             prefix.entries.extend([0] * (j1 + 1 - len(prefix.entries)))
-        prefix.log.append(ObeysSegment(r, r, wit.i0, wit.i1))
+        prefix.log.append(wit)
         assert index.frontier < len(prefix.entries), "block would rewrite a word already read"
         block(enumeration(r), prefix, d, target=r)
     return prefix
 
 
 def _witness_failures(prefix: NuPrefix, s: Scale) -> list[dict]:
-    """The logged ObeysSegments that make_witness rejects, found in one pass
-    over the entries that shares nothing with WitnessIndex.  Entry t is a
-    word of length 1 + t, nontrivial when t > 0 (indices past the end are
-    zeros), so a segment costs its two scale reads, one bisect among the
-    nonzero positions and two prefix-sum lookups.
+    """The logged ObeysSegments that make_witness rejects, each checked by
+    WordSums.holds over one read of the entries' words: a segment costs its
+    two scale reads, one bisect and two prefix-sum lookups.  A segment
+    that reads past a loaded scale fails.  Unlike a WitnessIndex, the
+    audit checks no word budget, as make_witness checks none.
     """
-    lens, nonzero = [0], []
-    for x, t in enumerate(prefix.entries):
-        lens.append(lens[-1] + 1 + t)
-        if t:
-            nonzero.append(x)
-    size = len(lens) - 1
-
-    def length_sum(x: int) -> int:  # total length of words 0..x-1
-        return lens[min(x, size)] + max(0, x - size)
-
-    def holds(n_star: int, m_star: int, i0: int, i1: int) -> bool:
-        if not (0 <= m_star < i0 and 0 <= n_star < i1 and i0 < i1):
-            return False
-        j0, j1 = s.value(i0), s.value(i1)
-        k = bisect_left(nonzero, j0)
-        if k < len(nonzero) and nonzero[k] <= j1:
-            return False
-        # i1 > i0 and i1 > n* hold, which is all when j(i0) < n*
-        return j0 < n_star or i1 > i0 + length_sum(j0 + 1) - length_sum(n_star)
-
+    sums = WordSums(prefix.word_seq(), s)
     failures = []
     for seg in prefix.log:
         if isinstance(seg, ObeysSegment):
             try:
-                ok = holds(seg.n_star, seg.m_star, seg.i0, seg.i1)
+                ok = sums.holds(seg)
             except ShortScale:
                 ok = False
             if not ok:

@@ -182,8 +182,9 @@ def verify_scale(d: NullSequence, s: Scale, up_to: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ObeysWitness:
-    """A certificate that zeros stretch far enough for the pair (n*, m*).
+class ObeysSegment:
+    """A certificate that zeros stretch far enough for the pair (n*, m*),
+    and its entry in a diagonalization log.
 
     The interval of scale values [j(i0), j(i1)] carries only trivial words,
     and the words between n* and j(i0) are jointly shorter than i1 - i0.
@@ -194,6 +195,15 @@ class ObeysWitness:
     i0: int
     i1: int
 
+    def as_json(self) -> dict:
+        return {
+            "kind": "obeys",
+            "nStar": self.n_star,
+            "mStar": self.m_star,
+            "i0": self.i0,
+            "i1": self.i1,
+        }
+
 
 def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
     """The first index in [j(i0), j(i1)] whose word is not trivial, or None."""
@@ -203,12 +213,12 @@ def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
     return None
 
 
-def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysWitness:
+def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysSegment:
     """Build and validate a witness for the given indices, raising ValueError
     when any clause fails and ShortScale when a loaded scale ends before
     j(i1).  Every clause is recomputed directly from the words, sharing
-    nothing with WitnessIndex, so rechecks and tests use it as the
-    independent oracle for the search."""
+    nothing with WordSums, so rechecks and tests use it as the independent
+    oracle for the search and the audit."""
     if not (0 <= m_star < i0):
         raise ValueError("need m_star < i0")
     if not (0 <= n_star < i1):
@@ -222,10 +232,10 @@ def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: in
     total = sum(w.gen(i).length() for i in range(n_star, s.value(i0) + 1))
     if i1 < max(i0 + total + 1, n_star + 1):
         raise ValueError(f"words {n_star}..{s.value(i0)} are too long for gap {i1 - i0}")
-    return ObeysWitness(n_star, m_star, i0, i1)
+    return ObeysSegment(n_star, m_star, i0, i1)
 
 
-def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
+def check_witness(w: WordSeq, s: Scale, wit: ObeysSegment) -> bool:
     """Independent recheck of every clause of an existing witness."""
     try:
         make_witness(w, s, wit.n_star, wit.m_star, wit.i0, wit.i1)
@@ -234,45 +244,22 @@ def check_witness(w: WordSeq, s: Scale, wit: ObeysWitness) -> bool:
     return True
 
 
-class WitnessIndex:
-    """Least witnesses over one word sequence and scale, with the work
-    shared between queries.  ends(n*, first, last) answers the pairs of row
-    n* from m* = first - 1 to last - 1 with one scan; find(n*, m*) is that
-    scan for one pair, and find_witness describes the search.
+class WordSums:
+    """The witness clauses over one word sequence and scale, checked
+    against two tables of the words, read once in index order.
 
-    Words are read once, in index order, into two structures every query
-    shares: lens[x], the total length of words 0..x-1, so the length sum
-    for (n*, i0) is lens[j(i0)+1] - lens[n*] with nothing rebuilt per
-    query; and the sorted list of nontrivial indices read, in which one
-    bisect finds the first nontrivial word at or after j(i0).
-
-    Whether a candidate i0 passes, fails or stops the search depends on n*
-    and i0 but not on m*: the pair (n*, m*) answers with the first i0 at or
-    after its start m* + 1 that passes or stops.  So a row's scan checks
-    the candidates in order, each once, and hands the end it reaches, the
-    i0 and its least i1, to every start it walked.  Each row keeps these
-    ends for every start resolved so far; a scan that reaches a resolved
-    start takes its end and checks nothing again.  A certificate's row is
-    one scan from i0 = 1 (see obeys_certificate): it checks the candidates
-    in the order, and reads the scale and the words in the order, that one
-    query per pair in row-major order would, so a short driving prefix or a
-    loaded scale raises at the same entry with the same message.  Its ends
-    stay in the row, so the limit's later find calls on those pairs read no
-    new entry.  A walk that raises records nothing, so a repeated query
-    reads the same entries and raises the same error.  find memoizes its
-    answers, None included, per pair; ends builds no object per pair.
+    lens[x] is the total length of words 0..x-1, so the length sum for
+    (n*, i0) is lens[j(i0)+1] - lens[n*]; one bisect in the sorted list of
+    nontrivial indices read tells whether an interval holds only trivial
+    words.  The search (WitnessIndex) and the audit (holds) share these
+    tables and the two checks least_i1 and all_trivial.
     """
 
-    def __init__(self, w: WordSeq, s: Scale, search_bound: int):
-        if w.var_budget > s.budget:
-            raise ValueError("word budget exceeds the scale budget")
+    def __init__(self, w: WordSeq, s: Scale):
         self.w = w
         self.s = s
-        self.search_bound = search_bound
         self._lens = [0]
         self._nontrivial: list[int] = []
-        self._rows: dict[int, dict[int, tuple[int, int]]] = {}
-        self._found: dict[tuple[int, int], Optional[ObeysWitness]] = {}
 
     @property
     def frontier(self) -> int:
@@ -296,23 +283,82 @@ class WitnessIndex:
             if not trivial:
                 nontrivial.append(i)
 
-    def find(self, n_star: int, m_star: int) -> Optional[ObeysWitness]:
+    def least_i1(self, n_star: int, i0: int, j0: int) -> int:
+        """The least i1 that the order and length clauses allow for
+        (n*, i0), where j0 = j(i0): the larger of n* + 1 and i0 + 1 plus
+        the total length of words n*..j0 (none when j0 < n*)."""
+        if j0 < n_star:
+            return max(i0 + 1, n_star + 1)
+        lens = self._lens
+        if j0 + 1 >= len(lens):  # past the frontier
+            self._read_through(j0)
+        return max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+
+    def all_trivial(self, j0: int, j1: int) -> bool:
+        """Whether the words j0..j1 are all trivial: the first nontrivial
+        index at or after j0 lies past j1."""
+        if j1 + 1 >= len(self._lens):
+            self._read_through(j1)
+        nontrivial = self._nontrivial
+        k = bisect_left(nontrivial, j0)
+        return k == len(nontrivial) or nontrivial[k] > j1
+
+    def holds(self, seg: ObeysSegment) -> bool:
+        """Whether seg passes every clause make_witness checks.  Once the
+        order clauses pass it reads j(i0) and j(i1), so a loaded scale that
+        ends before j(i1) raises ShortScale, as make_witness does."""
+        n_star, i0, i1 = seg.n_star, seg.i0, seg.i1
+        if not (0 <= seg.m_star < i0 and 0 <= n_star < i1 and i0 < i1):
+            return False
+        j0 = self.s.value(i0)
+        return self.all_trivial(j0, self.s.value(i1)) and i1 >= self.least_i1(n_star, i0, j0)
+
+
+class WitnessIndex(WordSums):
+    """Least witnesses over one word sequence and scale, with the work
+    shared between queries.  ends(n*, first, last) answers the pairs of row
+    n* from m* = first - 1 to last - 1 with one scan; find(n*, m*) is that
+    scan for one pair, and find_witness describes the search.  Unlike a
+    bare WordSums, it refuses words that mention more slots than the
+    scale's budget allows.
+
+    Whether a candidate i0 passes, fails or stops the search depends on n*
+    and i0 but not on m*: the pair (n*, m*) answers with the first i0 at or
+    after its start m* + 1 that passes or stops.  So a row's scan checks
+    the candidates in order, each once, and hands the end it reaches, the
+    i0 and its least i1, to every start it walked.  Each row keeps these
+    ends for every start resolved so far; a scan that reaches a resolved
+    start takes its end and checks nothing again, so a repeated query reads
+    no new entry.  A certificate's row is one scan from i0 = 1 (see
+    obeys_certificate): it checks the candidates in the order, and reads
+    the scale and the words in the order, that one query per pair in
+    row-major order would, so a short driving prefix or a loaded scale
+    raises at the same entry with the same message.  Its ends stay in the
+    row, so the limit's later find calls on those pairs read no new entry.
+    A walk that raises records nothing, so a repeated query reads the same
+    entries and raises the same error.  ends builds no object per pair.
+    """
+
+    def __init__(self, w: WordSeq, s: Scale, search_bound: int):
+        if w.var_budget > s.budget:
+            raise ValueError("word budget exceeds the scale budget")
+        super().__init__(w, s)
+        self.search_bound = search_bound
+        self._rows: dict[int, dict[int, tuple[int, int]]] = {}
+
+    def find(self, n_star: int, m_star: int) -> Optional[ObeysSegment]:
         """The lexicographically least witness pair (i0, i1) for (n*, m*)
         with i1 within the search bound, or None."""
-        key = (n_star, m_star)
-        if key not in self._found:
-            ends = self.ends(n_star, m_star + 1, m_star + 1)
-            self._found[key] = ObeysWitness(n_star, m_star, *ends[0]) if ends else None
-        return self._found[key]
+        ends = self.ends(n_star, m_star + 1, m_star + 1)
+        return ObeysSegment(n_star, m_star, *ends[0]) if ends else None
 
     def ends(self, n_star: int, first: int, last: int) -> list[tuple[int, int]]:
         """The least witness (i0, i1) within the search bound of each pair
         (n*, m*) with first <= m* + 1 <= last, in order of m*, ending before
         the first pair that has none."""
-        s, lens, nontrivial, bound = self.s, self._lens, self._nontrivial, self.search_bound
-        row = self._rows.get(n_star)
-        if row is None:
-            row = self._rows[n_star] = {}
+        s, bound = self.s, self.search_bound
+        least_i1, all_trivial = self.least_i1, self.all_trivial
+        row = self._rows.setdefault(n_star, {})
         out: list[tuple[int, int]] = []
         start = first
         while start <= last:
@@ -322,21 +368,11 @@ class WitnessIndex:
                 if i0 > bound:  # only at a start: the candidate i0 = bound stops
                     return out
                 j0 = s.value(i0)
-                if j0 < n_star:
-                    i1 = max(i0 + 1, n_star + 1)
-                else:
-                    if j0 + 1 >= len(lens):  # past the frontier
-                        self._read_through(j0)
-                    i1 = max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
-                if i1 <= bound:
-                    j1 = s.value(i1)
-                    if j1 + 1 >= len(lens):
-                        self._read_through(j1)
-                    k = bisect_left(nontrivial, j0)
-                    if k < len(nontrivial) and nontrivial[k] <= j1:  # i0 fails
-                        i0 += 1
-                        end = row.get(i0)
-                        continue
+                i1 = least_i1(n_star, i0, j0)
+                if i1 <= bound and not all_trivial(j0, s.value(i1)):  # i0 fails
+                    i0 += 1
+                    end = row.get(i0)
+                    continue
                 end = row[i0] = (i0, i1)  # a witness, or the stop when i1 > bound
             for walked in range(start, i0):  # the other starts this walk resolved
                 row[walked] = end
@@ -355,7 +391,7 @@ def find_witness(
     n_star: int,
     m_star: int,
     search_bound: int,
-) -> Optional[ObeysWitness]:
+) -> Optional[ObeysSegment]:
     """The lexicographically least witness pair (i0, i1) with i1 bounded by
     search_bound, or None, as one query on a fresh WitnessIndex; callers
     with many queries over the same words keep one index instead.
@@ -367,10 +403,9 @@ def find_witness(
     for that i0 and the search advances i0.  The least i1 does not decrease
     as i0 grows, so once it passes the bound the search ends.  Each i0 reads
     j(i0), then j(i1) when i1 is within the bound, so a loaded finite scale
-    runs out at the same index as a clause-by-clause loop.  The length sum
-    is a difference of prefix sums and the triviality clause one bisect
-    ("the first nontrivial index at or after j(i0) lies past j(i1)"), so an
-    i0 costs no rescan of the words.  None of this depends on m*, which
+    runs out at the same index as a clause-by-clause loop.  Both clauses
+    are lookups in tables read once (see WordSums), so an i0 costs no
+    rescan of the words.  None of this depends on m*, which
     only sets where the scan starts: an index answers a whole row n* with
     one scan over its candidates, and a query whose start a scan of its row
     has passed reads the answer off it (see WitnessIndex).

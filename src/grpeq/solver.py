@@ -12,7 +12,7 @@ read off a single finite table.
 from __future__ import annotations
 
 from .perm import IDENTITY, NullSequence, Perm, Structure, compose
-from .scale import ObeysWitness, Scale, WitnessIndex
+from .scale import ObeysSegment, Scale, WitnessIndex
 from .words import GroupOps, WordSeq, evaluate
 
 PERM_OPS = GroupOps(
@@ -65,7 +65,7 @@ def approx(d: NullSequence, w: WordSeq, k: int) -> ApproxTable:
     return ApproxTable(k, rows)
 
 
-def stabilization_bound(wit: ObeysWitness, s: Scale) -> int:
+def stabilization_bound(wit: ObeysSegment, s: Scale) -> int:
     """The truncation depth past which the witnessed point stops moving:
     the scale value one step beyond the witness interval."""
     return s.value(wit.i1 + 1)
@@ -80,8 +80,8 @@ class LimitAutomorphism:
     trivial tail (w.trivial_from), a bound past it is read at trivial_from
     instead: every truncation from there on has the same rows, so the
     queries share one table per effective depth.  table(k) itself stays
-    the real truncation at k.  The index reads each word once
-    and memoizes its answers; a caller that certifies pairs first through
+    the real truncation at k.  The index reads each word once and keeps
+    each row's scan; a caller that certifies pairs first through
     obeys_certificate(limit.index, ...) leaves each row's scan in the index,
     so a query on a certified pair reads its witness off the row with no
     new scale read.  The memos are optimizations only: cached and
@@ -97,7 +97,7 @@ class LimitAutomorphism:
         # (n, m) -> (image, preimage) of m under row n
         self._points: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def witness(self, n: int, m: int) -> ObeysWitness:
+    def witness(self, n: int, m: int) -> ObeysSegment:
         wit = self.index.find(n, m)
         if wit is None:
             raise WitnessNotFound(n, m)

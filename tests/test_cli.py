@@ -555,6 +555,32 @@ def test_short_loaded_scale(tmp_path, capsys):
     assert first == {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 1, "i1": 5}
 
 
+@pytest.mark.parametrize("count", ["0", "3"])
+def test_diagonalize_rejects_a_scale_budget_below_the_word_budget(capsys, count):
+    # the words of nu mention one slot, which budget 0 does not leave room
+    # for; the search refuses to start, even when there is no round to run
+    code, out, err = run(capsys, ["diagonalize", "--budget", "0", "--count", count])
+    assert (code, out, err) == (1, "", "error: word budget exceeds the scale budget\n")
+
+
+def test_witness_audit_at_budget_0_has_no_budget_clause(tmp_path, capsys):
+    # the audit checks the clauses of make_witness, none of them a budget:
+    # at budget 0, j(i) = i, the two intervals around the entry at index 11
+    # hold it, and the first segment still passes
+    blob = tmp_path / "diag.json"
+    assert main(["diagonalize", "--count", "3", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    argv = ["verify-blocked", "--nu", str(blob), "--count", "3", "--budget", "0"]
+    code, out, _ = run(capsys, argv + ["--check-witnesses"])
+    assert code == 5
+    report = json.loads(out)
+    assert report["verdicts"] == [[r, "dead"] for r in range(3)]
+    assert report["witnessFailures"] == [
+        {"kind": "obeys", "nStar": 1, "mStar": 1, "i0": 6, "i1": 21},
+        {"kind": "obeys", "nStar": 2, "mStar": 2, "i0": 6, "i1": 20},
+    ]
+
+
 @pytest.mark.parametrize(
     "scale_obj",
     [

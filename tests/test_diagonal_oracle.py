@@ -25,7 +25,7 @@ from grpeq.freegrp import (
     reverify,
 )
 from grpeq.perm import NullSequence
-from grpeq.scale import Scale, ShortScale, build_scale, find_witness, make_witness
+from grpeq.scale import Scale, ShortScale, WordSums, build_scale, find_witness, make_witness
 from grpeq.words import nu_words
 
 D = NullSequence.transpositions()
@@ -218,7 +218,9 @@ def test_one_pass_audit_matches_make_witness_exhaustively_on_small_logs():
     # every segment with small fields over a single nonzero entry (or
     # none) near the start, so the clauses meet at each boundary: a nonzero
     # word at j(i0) or j(i1) exactly, j(i0) = n*, and sums that run past
-    # the last entry; budget 0 gives j(i) = i, where j(i0) = n* = i0
+    # the last entry; budget 0 gives j(i) = i, where j(i0) = n* = i0.
+    # WordSums.holds, the audit's check, is also asked about each segment
+    # directly; it has no budget clause, so budget 0 needs no WitnessIndex
     log = [
         ObeysSegment(n_star, m_star, i0, i1)
         for n_star in range(-1, 5)
@@ -233,6 +235,8 @@ def test_one_pass_audit_matches_make_witness_exhaustively_on_small_logs():
             failures = per_segment_failures(prefix, s)
             assert 0 < len(failures) < len(log)
             assert audit_failures(prefix, s, ascending_generators(), 0) == failures
+            sums = WordSums(prefix.word_seq(), s)
+            assert [seg.as_json() for seg in log if not sums.holds(seg)] == failures
 
 
 def test_one_pass_audit_on_the_golden_log():

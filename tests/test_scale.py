@@ -5,7 +5,7 @@ import pytest
 from grpeq.perm import NullSequence, Perm
 from grpeq.scale import (
     NotObeying,
-    ObeysWitness,
+    ObeysSegment,
     Scale,
     ShortScale,
     WitnessIndex,
@@ -170,7 +170,7 @@ def test_make_witness_rejects_broken_clauses():
     s = build_scale(d, 1, 1)
     w = nu_words([])
     wit = make_witness(w, s, 0, 0, 1, 5)
-    assert isinstance(wit, ObeysWitness)
+    assert isinstance(wit, ObeysSegment)
     with pytest.raises(ValueError):
         make_witness(w, s, 0, 0, 1, 2)  # sum bound fails
     with pytest.raises(ValueError):
@@ -185,19 +185,19 @@ def test_check_witness_rejects_tampering():
     s = build_scale(d, 1, 1)
     w = nu_words([])
     wit = find_witness(w, s, 0, 0, 64)
-    bent = ObeysWitness(wit.n_star, 1, wit.i0, wit.i1)
+    bent = ObeysSegment(wit.n_star, 1, wit.i0, wit.i1)
     assert not check_witness(w, s, bent)
     # (0, 0, 1, 5): a later i0 or an earlier i1 leaves too short a gap
-    later = ObeysWitness(wit.n_star, wit.m_star, wit.i0 + 1, wit.i1)
+    later = ObeysSegment(wit.n_star, wit.m_star, wit.i0 + 1, wit.i1)
     assert not check_witness(w, s, later)
-    earlier = ObeysWitness(wit.n_star, wit.m_star, wit.i0, wit.i1 - 1)
+    earlier = ObeysSegment(wit.n_star, wit.m_star, wit.i0, wit.i1 - 1)
     assert not check_witness(w, s, earlier)
 
 
 def witnesses(cert):
     """The certificate's rows as one witness per pair, in row-major order."""
     return [
-        ObeysWitness(n_star, m_star, i0, i1)
+        ObeysSegment(n_star, m_star, i0, i1)
         for n_star, ends in enumerate(cert)
         for m_star, (i0, i1) in enumerate(ends)
     ]

@@ -3,7 +3,7 @@
 approx shares a trivial word's row with the row above it instead of
 evaluating the word; the reference evaluates every row.  WitnessIndex
 answers every pair from one prefix sum and one sorted list of nontrivial
-indices, memoized across queries, and checks each candidate of a row once;
+indices, shared across queries, and checks each candidate of a row once;
 the references are a fresh index per
 pair and the least pair make_witness accepts.  The limit rows are checked
 against their equations and against exact downward substitution, over
@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from grpeq.perm import IDENTITY, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
 from grpeq.scale import (
     NotObeying,
-    ObeysWitness,
+    ObeysSegment,
     Scale,
     ShortScale,
     WitnessIndex,
@@ -177,8 +177,10 @@ def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, 
         got = index.find(n_star, m_star)
         assert got == find_witness(w, s, n_star, m_star, bound)
         assert got == least_pair(w, s, n_star, m_star, bound)
-        # a repeated query answers from the memo, with the same object
-        assert index.find(n_star, m_star) is got
+        # a repeated query answers from its row and reads no new entry
+        reads = len(counted.reads)
+        assert index.find(n_star, m_star) == got
+        assert len(counted.reads) == reads
     # each candidate (n*, i0), i0 = 1 .. bound, is checked at most once
     assert len(counted.reads) <= 2 * 6 * bound
 
@@ -186,7 +188,7 @@ def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, 
 def witnesses(cert):
     """The certificate's rows as one witness per pair, in row-major order."""
     return [
-        ObeysWitness(n_star, m_star, i0, i1)
+        ObeysSegment(n_star, m_star, i0, i1)
         for n_star, ends in enumerate(cert)
         for m_star, (i0, i1) in enumerate(ends)
     ]
