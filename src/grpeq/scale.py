@@ -21,6 +21,7 @@ rule as the oracle verify_scale recomputes with.
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -196,21 +197,8 @@ class ObeysSegment:
     i1: int
 
     def as_json(self) -> dict:
-        return {
-            "kind": "obeys",
-            "nStar": self.n_star,
-            "mStar": self.m_star,
-            "i0": self.i0,
-            "i1": self.i1,
-        }
-
-
-def _first_nontrivial(w: WordSeq, s: Scale, i0: int, i1: int) -> Optional[int]:
-    """The first index in [j(i0), j(i1)] whose word is not trivial, or None."""
-    for t in range(s.value(i0), s.value(i1) + 1):
-        if not w.gen(t).is_trivial:
-            return t
-    return None
+        return {"kind": "obeys", "nStar": self.n_star, "mStar": self.m_star,
+                "i0": self.i0, "i1": self.i1}
 
 
 def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysSegment:
@@ -225,9 +213,9 @@ def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: in
         raise ValueError("need n_star < i1")
     if not i0 < i1:
         raise ValueError("need i0 < i1")
-    t = _first_nontrivial(w, s, i0, i1)
-    if t is not None:
-        raise ValueError(f"word at {t} is not trivial")
+    for t in range(s.value(i0), s.value(i1) + 1):
+        if not w.gen(t).is_trivial:
+            raise ValueError(f"word at {t} is not trivial")
     # the length of words n*..j(i0), word by word; none when j(i0) < n*
     total = sum(w.gen(i).length() for i in range(n_star, s.value(i0) + 1))
     if i1 < max(i0 + total + 1, n_star + 1):
@@ -252,7 +240,9 @@ class WordSums:
     (n*, i0) is lens[j(i0)+1] - lens[n*]; one bisect in the sorted list of
     nontrivial indices read tells whether an interval holds only trivial
     words.  The search (WitnessIndex) and the audit (holds) share these
-    tables and the two checks least_i1 and all_trivial.
+    tables and the two checks least_i1 and all_trivial.  Words from
+    w.trivial_from on are never read: each is y1, of length 1, so a check
+    costs the same whether j(i1) lies just past that index or far beyond.
     """
 
     def __init__(self, w: WordSeq, s: Scale):
@@ -260,6 +250,7 @@ class WordSums:
         self.s = s
         self._lens = [0]
         self._nontrivial: list[int] = []
+        self._unread = 0  # the first word not read, sys.maxsize once the tail is reached
 
     @property
     def frontier(self) -> int:
@@ -268,10 +259,14 @@ class WordSums:
         return len(self._lens) - 2
 
     def _read_through(self, x: int) -> None:
-        """Read the words up to index x into lens and the nontrivial list.
-        A word that is the same object as the one before it (a run of
-        zeros under nu_words) reuses its length and triviality."""
+        """Read the words up to index x, or up to w.trivial_from, into lens
+        and the nontrivial list.  A word that is the same object as the one
+        before it (a run of zeros under nu_words) reuses its length and
+        triviality."""
         lens, nontrivial, gen = self._lens, self._nontrivial, self.w.gen
+        tail = self.w.trivial_from
+        if tail is not None:
+            x = min(x, tail - 1)
         total = lens[-1]
         last = length = trivial = None
         for i in range(len(lens) - 1, x + 1):
@@ -282,6 +277,7 @@ class WordSums:
             lens.append(total)
             if not trivial:
                 nontrivial.append(i)
+        self._unread = len(lens) - 1 if tail is None or x < tail - 1 else sys.maxsize
 
     def least_i1(self, n_star: int, i0: int, j0: int) -> int:
         """The least i1 that the order and length clauses allow for
@@ -289,15 +285,20 @@ class WordSums:
         the total length of words n*..j0 (none when j0 < n*)."""
         if j0 < n_star:
             return max(i0 + 1, n_star + 1)
-        lens = self._lens
-        if j0 + 1 >= len(lens):  # past the frontier
+        if j0 >= self._unread:  # past the frontier
             self._read_through(j0)
-        return max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+        lens = self._lens
+        if j0 + 1 < len(lens):
+            return max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+        tail = len(lens) - 1  # j0 lies in the tail, whose words have length 1
+        total = j0 + 1 - n_star if n_star >= tail else lens[tail] - lens[n_star] + j0 + 1 - tail
+        return max(i0 + total + 1, n_star + 1)
 
     def all_trivial(self, j0: int, j1: int) -> bool:
         """Whether the words j0..j1 are all trivial: the first nontrivial
-        index at or after j0 lies past j1."""
-        if j1 + 1 >= len(self._lens):
+        index at or after j0 lies past j1.  No index from w.trivial_from on
+        is nontrivial."""
+        if j1 >= self._unread:
             self._read_through(j1)
         nontrivial = self._nontrivial
         k = bisect_left(nontrivial, j0)
@@ -405,13 +406,11 @@ def find_witness(
     j(i0), then j(i1) when i1 is within the bound, so a loaded finite scale
     runs out at the same index as a clause-by-clause loop.  Both clauses
     are lookups in tables read once (see WordSums), so an i0 costs no
-    rescan of the words.  None of this depends on m*, which
-    only sets where the scan starts: an index answers a whole row n* with
-    one scan over its candidates, and a query whose start a scan of its row
-    has passed reads the answer off it (see WitnessIndex).
-    When the words are trivial from some index on (nu_words over a list),
-    the search ends without the bound: once j(i0) reaches that index the
-    triviality clause passes, so a bound of sys.maxsize is never reached.
+    rescan of the words; an index shares them, and each row's scan,
+    between queries (see WitnessIndex).  When the words are trivial from
+    some index on, the search ends without the bound: once j(i0) reaches
+    that index the triviality clause passes, so a bound of sys.maxsize is
+    never reached.
     """
     return WitnessIndex(w, s, search_bound).find(n_star, m_star)
 

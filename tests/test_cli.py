@@ -581,6 +581,24 @@ def test_witness_audit_at_budget_0_has_no_budget_clause(tmp_path, capsys):
     ]
 
 
+def test_witness_audit_reads_no_word_past_the_entries(tmp_path, capsys):
+    # the words past the entries are trivial, each of length 1: a segment
+    # whose j(i1) or j(i0) lies far past them costs no read of those words
+    nu = write_json(tmp_path / "nu.json", {"entries": [1], "log": [
+        {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 1, "i1": 6},
+        {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 5, "i1": 6},
+    ]})
+    scale = write_json(tmp_path / "scale.json", [0, 2, 4, 6, 8, 10, 10**9])
+    argv = ["verify-blocked", "--nu", nu, "--count", "1", "--scale", scale]
+    code, out, _ = run(capsys, argv + ["--check-witnesses"])
+    assert code == 5
+    report = json.loads(out)
+    assert report["verdicts"] == [[0, "alive"]]
+    assert report["witnessFailures"] == [
+        {"kind": "obeys", "nStar": 0, "mStar": 0, "i0": 5, "i1": 6},
+    ]
+
+
 @pytest.mark.parametrize(
     "scale_obj",
     [

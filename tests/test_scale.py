@@ -77,6 +77,17 @@ def test_find_witness_heavy_word_before_n_star():
     assert (wit.i0, wit.i1) == naive_witness(w, s, 5, 0, 10) == (2, 6)
 
 
+def test_word_sums_read_no_word_of_the_declared_trivial_tail():
+    # nu_words over a list declares every word from its length on trivial;
+    # a check that reaches a scale value far past it reads none of them
+    s = Scale.from_values([0, 2, 4, 6, 8, 10, 10**6], 1)
+    index = WitnessIndex(nu_words([1]), s, 6)
+    assert index.find(0, 0) == ObeysSegment(0, 0, 1, 6)
+    assert index.holds(ObeysSegment(0, 0, 1, 6))
+    assert not index.holds(ObeysSegment(0, 0, 5, 6))  # words 0..j(5) are too long
+    assert index.frontier == 0
+
+
 def test_scale_from_values_validation():
     s = Scale.from_values([0, 2, 4], 1)
     assert s.value(2) == 4
