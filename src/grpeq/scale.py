@@ -213,11 +213,11 @@ def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: in
         raise ValueError("need n_star < i1")
     if not i0 < i1:
         raise ValueError("need i0 < i1")
-    for t in range(s.value(i0), s.value(i1) + 1):
-        if not w.gen(t).is_trivial:
-            raise ValueError(f"word at {t} is not trivial")
-    # the length of words n*..j(i0), word by word; none when j(i0) < n*
-    total = sum(w.gen(i).length() for i in range(n_star, s.value(i0) + 1))
+    for x in range(s.value(i0), s.value(i1) + 1):
+        if w.gen(x):
+            raise ValueError(f"word at {x} is not trivial")
+    # the length 1 + t of words n*..j(i0), word by word; none when j(i0) < n*
+    total = sum(1 + w.gen(i) for i in range(n_star, s.value(i0) + 1))
     if i1 < max(i0 + total + 1, n_star + 1):
         raise ValueError(f"words {n_star}..{s.value(i0)} are too long for gap {i1 - i0}")
     return ObeysSegment(n_star, m_star, i0, i1)
@@ -260,22 +260,18 @@ class WordSums:
 
     def _read_through(self, x: int) -> None:
         """Read the words up to index x, or up to w.trivial_from, into lens
-        and the nontrivial list.  A word that is the same object as the one
-        before it (a run of zeros under nu_words) reuses its length and
-        triviality."""
+        and the nontrivial list: word i of exponent t has length 1 + t and
+        is trivial exactly when t = 0."""
         lens, nontrivial, gen = self._lens, self._nontrivial, self.w.gen
         tail = self.w.trivial_from
         if tail is not None:
             x = min(x, tail - 1)
         total = lens[-1]
-        last = length = trivial = None
         for i in range(len(lens) - 1, x + 1):
-            word = gen(i)
-            if word is not last:
-                last, length, trivial = word, word.length(), word.is_trivial
-            total += length
+            t = gen(i)
+            total += 1 + t
             lens.append(total)
-            if not trivial:
+            if t:
                 nontrivial.append(i)
         self._unread = len(lens) - 1 if tail is None or x < tail - 1 else sys.maxsize
 
@@ -320,8 +316,8 @@ class WitnessIndex(WordSums):
     shared between queries.  ends(n*, first, last) answers the pairs of row
     n* from m* = first - 1 to last - 1 with one scan; find(n*, m*) is that
     scan for one pair, and find_witness describes the search.  Unlike a
-    bare WordSums, it refuses words that mention more slots than the
-    scale's budget allows.
+    bare WordSums, it refuses a scale of budget 0, which leaves no room for
+    the slot x1 that every word mentions.
 
     Whether a candidate i0 passes, fails or stops the search depends on n*
     and i0 but not on m*: the pair (n*, m*) answers with the first i0 at or
@@ -341,7 +337,7 @@ class WitnessIndex(WordSums):
     """
 
     def __init__(self, w: WordSeq, s: Scale, search_bound: int):
-        if w.var_budget > s.budget:
+        if s.budget < 1:
             raise ValueError("word budget exceeds the scale budget")
         super().__init__(w, s)
         self.search_bound = search_bound

@@ -1,8 +1,8 @@
 """Finite approximants and lazy limits for forward-referencing equation
 systems over finitely supported permutations.
 
-The system assigns row n the equation b_n = w_n(d_{n+1}, ...; b_{n+1}, ...),
-where every unknown on the right has a higher row index.  Truncating at k
+The system assigns row n the equation b_n = w_n(d_{n+1}, b_{n+1}), so
+the unknown on the right has a higher row index.  Truncating at k
 (rows beyond k become the identity) makes each table finite; an obeys
 witness turns truncation into stabilization: past the bound derived from the
 witness, raising k stops changing the watched values, so the limit can be
@@ -45,23 +45,15 @@ class ApproxTable:
 
 
 def approx(d: NullSequence, w: WordSeq, k: int) -> ApproxTable:
-    """Solve the truncation at k.  Row n substitutes the parameter terms
-    d_{n+1}, d_{n+2}, ... and the already-solved rows n+1, n+2, ...; rows
-    beyond k are the identity.  A trivial word's row is the row above it,
-    shared rather than recomposed, so the rows above the last nontrivial
-    word cost nothing."""
-    rows: list[Perm] = [IDENTITY] * (k + 1)
+    """Solve the truncation at k.  Row n substitutes the parameter term
+    d_{n+1} and the already-solved row n+1; rows beyond k are the
+    identity.  A trivial word's row is the row above it, shared rather
+    than recomposed, so the rows above the last nontrivial word cost
+    nothing."""
+    rows: list[Perm] = [IDENTITY] * (k + 2)  # rows[k + 1] is the identity
     for n in range(k, -1, -1):
-        word = w.gen(n)
-        if word.is_trivial:
-            # y1 evaluates to its argument, so the row is the one above it
-            if n < k:
-                rows[n] = rows[n + 1]
-            continue
-        lx, ly = word.arities()
-        xs = [d.perm(n + i) for i in range(1, lx + 1)]
-        ys = [rows[n + i] if n + i <= k else IDENTITY for i in range(1, ly + 1)]
-        rows[n] = evaluate(word, xs, ys, PERM_OPS)
+        t = w.gen(n)
+        rows[n] = evaluate(t, d.perm(n + 1), rows[n + 1], PERM_OPS) if t else rows[n + 1]
     return ApproxTable(k, rows)
 
 
@@ -126,22 +118,14 @@ class LimitAutomorphism:
 
 
 def _apply_word_pointwise(limit: LimitAutomorphism, n: int, m: int) -> int:
-    """Evaluate row n's right side at the point m, chasing each unit letter
-    through either a concrete parameter term or a lazy limit row."""
+    """Evaluate row n's right side x1 y1^t at the point m, chasing each
+    unit letter: the lazy limit row n+1 t times (once for the trivial word
+    y1), then the concrete parameter term d_{n+1} when t > 0."""
+    t = limit.w.gen(n)
     current = m
-    for kind, index, exp in reversed(limit.w.gen(n).factors):
-        for _ in range(abs(exp)):
-            if kind == "x":
-                p = limit.d.perm(n + index)
-                current = p.apply(current) if exp > 0 else p.inverse_apply(current)
-            else:
-                row = n + index
-                current = (
-                    limit.apply(row, current)
-                    if exp > 0
-                    else limit.inverse_apply(row, current)
-                )
-    return current
+    for _ in range(max(t, 1)):
+        current = limit.apply(n + 1, current)
+    return limit.d.perm(n + 1).apply(current) if t else current
 
 
 def verify_solution(limit: LimitAutomorphism, n_window: int, m_window: int) -> list[dict]:

@@ -1,68 +1,14 @@
-"""Group words over two indexed families of variables.
+"""The words w_n = x1 y1^t of the systems b_n = w_n(d_{n+1}, b_{n+1}).
 
-A word is a canonical product of factors v^e where v is a parameter slot
-x1, x2, ... or an unknown slot y1, y2, ...  Canonical means adjacent factors
-on the same variable are merged and zero exponents are dropped, so equality
-of words is plain structural equality.
+A word is its exponent t: t >= 1 stands for x1 y1^t, of length 1 + t, and
+t = 0 for the trivial word y1, of length 1.  An exponent sequence nu gives
+the word sequence, and evaluate substitutes group elements for x1 and y1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-
-# A factor is (kind, index, exponent) with kind "x" or "y", index >= 1 and
-# exponent != 0 once canonical.
-Factor = tuple[str, int, int]
-
-
-@dataclass(frozen=True)
-class Word:
-    factors: tuple[Factor, ...] = ()
-
-    def length(self) -> int:
-        """Sum of absolute exponents, the unit-letter count."""
-        return sum(abs(e) for _, _, e in self.factors)
-
-    @property
-    def is_trivial(self) -> bool:
-        """True exactly for the single factor y1 with exponent 1."""
-        return self.factors == (("y", 1, 1),)
-
-    def arities(self) -> tuple[int, int]:
-        """Highest mentioned x index and y index, zero when absent."""
-        lx = max((i for k, i, _ in self.factors if k == "x"), default=0)
-        ly = max((i for k, i, _ in self.factors if k == "y"), default=0)
-        return lx, ly
-
-
-TRIVIAL_WORD = Word((("y", 1, 1),))
-
-
-def canonicalize(raw: Iterable[Sequence]) -> Word:
-    """Merge adjacent same-variable factors and drop vanished ones.
-
-    A single left-to-right pass with a stack reaches the fixpoint: a merge
-    that cancels to exponent zero pops the stack and exposes the previous
-    factor to further merging.
-    """
-    out: list[list] = []
-    for item in raw:
-        kind, index, exp = item
-        if kind not in ("x", "y"):
-            raise ValueError(f"unknown variable family {kind!r}")
-        if index < 1:
-            raise ValueError("variable indices start at 1")
-        if exp == 0:
-            continue
-        if out and out[-1][0] == kind and out[-1][1] == index:
-            out[-1][2] += exp
-            if out[-1][2] == 0:
-                out.pop()
-        else:
-            out.append([kind, index, exp])
-    return Word(tuple((k, i, e) for k, i, e in out))
+from typing import Callable, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -74,36 +20,26 @@ class GroupOps:
     identity: object
 
 
-def _power(base, exp: int, ops: GroupOps):
-    step = base if exp >= 0 else ops.inverse(base)
-    acc = ops.identity
-    for _ in range(abs(exp)):
-        acc = ops.multiply(acc, step)
-    return acc
-
-
-def evaluate(word: Word, xs: Sequence, ys: Sequence, ops: GroupOps):
-    """Substitute xs for the x-slots and ys for the y-slots (1-indexed).
-    The caller sizes xs and ys from word.arities()."""
-    acc = ops.identity
-    for kind, index, exp in word.factors:
-        base = xs[index - 1] if kind == "x" else ys[index - 1]
-        acc = ops.multiply(acc, _power(base, exp, ops))
+def evaluate(t: int, x, y, ops: GroupOps):
+    """The word of exponent t at x1 = x and y1 = y: x y^t for t >= 1, and
+    y for the trivial word at t = 0."""
+    acc = x if t else y
+    for _ in range(t):
+        acc = ops.multiply(acc, y)
     return acc
 
 
 @dataclass(frozen=True)
 class WordSeq:
-    """An infinite word sequence given by index, with a declared variable
-    budget bounding every mentioned slot index.
+    """An infinite word sequence given by index: gen(n) is the exponent of
+    word n.
 
     trivial_from, when not None, declares that every word from that index
     on is the trivial word y1.  The truncations at every depth k at or past
     it then have the same rows, which is what lets the limit read its
     values off one table.  None declares nothing."""
 
-    gen: Callable[[int], Word]
-    var_budget: int
+    gen: Callable[[int], int]
     trivial_from: Optional[int] = None
 
 
@@ -118,9 +54,8 @@ def nu_at(nu: NuLike, n: int) -> int:
 
 
 def nu_words(nu: NuLike) -> WordSeq:
-    """The one-parameter one-unknown family driven by an exponent sequence:
-    entry 0 gives the trivial word y1, entry t >= 1 gives x1 y1^t.  Each
-    distinct exponent makes one Word, which every later index reuses.
+    """The word sequence driven by an exponent sequence: word n is
+    x1 y1^nu(n), read as the trivial word y1 when nu(n) = 0.
 
     A list is copied, and its words are declared trivial from its length
     on; a callable declares nothing, so a list that grows after the call
@@ -129,18 +64,14 @@ def nu_words(nu: NuLike) -> WordSeq:
     if not callable(nu):
         nu = tuple(nu)
         trivial_from = len(nu)
-    words = {0: TRIVIAL_WORD}
 
-    def gen(n: int) -> Word:
+    def gen(n: int) -> int:
         t = nu_at(nu, n)
-        word = words.get(t)
-        if word is None:
-            if t < 0:
-                raise ValueError("exponent entries must be naturals")
-            word = words[t] = Word((("x", 1, 1), ("y", 1, t)))
-        return word
+        if t < 0:
+            raise ValueError("exponent entries must be naturals")
+        return t
 
-    return WordSeq(gen=gen, var_budget=1, trivial_from=trivial_from)
+    return WordSeq(gen=gen, trivial_from=trivial_from)
 
 
 _SHOWN_LIMIT = 100

@@ -16,7 +16,7 @@ from grpeq.scale import (
     obeys_certificate,
     verify_scale,
 )
-from grpeq.words import WordSeq, canonicalize, nu_words
+from grpeq.words import nu_words
 
 
 def naive_witness(w, s, n_star, m_star, bound):
@@ -26,9 +26,9 @@ def naive_witness(w, s, n_star, m_star, bound):
             if not (m_star < i0 < i1 and n_star < i1):
                 continue
             j0, j1 = s.value(i0), s.value(i1)
-            if any(not w.gen(t).is_trivial for t in range(j0, j1 + 1)):
+            if any(w.gen(t) for t in range(j0, j1 + 1)):
                 continue
-            if sum(w.gen(i).length() for i in range(n_star, j0 + 1)) < i1 - i0:
+            if sum(1 + w.gen(i) for i in range(n_star, j0 + 1)) < i1 - i0:
                 return (i0, i1)
     return None
 
@@ -170,10 +170,10 @@ def test_find_witness_none_when_m_star_exhausts_bound():
 
 def test_find_witness_budget_precondition():
     d = NullSequence.transpositions()
-    s = build_scale(d, 1, 1)
-    wide = WordSeq(gen=lambda n: canonicalize([("x", 2, 1)]), var_budget=2)
-    with pytest.raises(ValueError):
-        find_witness(wide, s, 0, 0, 16)
+    # every word mentions the slot x1, which budget 0 leaves no room for
+    s = build_scale(d, 0, 1)
+    with pytest.raises(ValueError, match="^word budget exceeds the scale budget$"):
+        find_witness(nu_words([]), s, 0, 0, 16)
 
 
 def test_make_witness_rejects_broken_clauses():

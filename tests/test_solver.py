@@ -176,7 +176,7 @@ def test_rows_below_interval_stable_under_cumulative_guard():
             j0 = s.value(wit.i0)
             cum = [0]  # cum[p]: total length of words n*, ..., n*+p-1
             for i in range(wit.n_star, j0):
-                cum.append(cum[-1] + L.w.gen(i).length())
+                cum.append(cum[-1] + 1 + L.w.gen(i))
             for srow in range(wit.n_star, j0):
                 p = srow - wit.n_star
                 if p >= len(cum):

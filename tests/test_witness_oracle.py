@@ -41,12 +41,12 @@ def plain_search(w, s, n_star, m_star, bound):
     j(i0) and then j(i1), as the scan in find_witness does."""
     for i0 in range(m_star + 1, bound + 1):
         j0 = s.value(i0)
-        total = sum(w.gen(t).length() for t in range(n_star, j0 + 1))
+        total = sum(1 + w.gen(t) for t in range(n_star, j0 + 1))
         i1 = max(i0 + total + 1, n_star + 1)
         if i1 > bound:
             return None
         j1 = s.value(i1)
-        if all(w.gen(t).is_trivial for t in range(j0, j1 + 1)):
+        if all(w.gen(t) == 0 for t in range(j0, j1 + 1)):
             return i0, i1
     return None
 

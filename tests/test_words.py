@@ -1,16 +1,14 @@
-"""Word grammar: canonical forms, evaluation, the nu-indexed family."""
+"""Words as exponents: evaluation and the nu-indexed family."""
 
-import dataclasses
 import random
 
 import pytest
 
+from grpeq.freegrp import FreeElem
 from grpeq.load import nu_from_json
-from grpeq.perm import IDENTITY, Perm, compose
+from grpeq.perm import Perm
 from grpeq.words import (
-    TRIVIAL_WORD,
-    Word,
-    canonicalize,
+    GroupOps,
     evaluate,
     nu_at,
     nu_to_json,
@@ -19,140 +17,54 @@ from grpeq.words import (
 )
 from grpeq.solver import PERM_OPS
 
-
-def random_factors(rng, size=8, idx_bound=3, exp_bound=3):
-    out = []
-    for _ in range(rng.randint(0, size)):
-        kind = rng.choice("xy")
-        out.append((kind, rng.randint(1, idx_bound), rng.randint(-exp_bound, exp_bound)))
-    return out
+FREE_OPS = GroupOps(
+    multiply=lambda a, b: a * b,
+    inverse=lambda a: a.inverse(),
+    identity=FreeElem.identity(),
+)
 
 
-def test_canonicalize_merges_adjacent():
-    w = canonicalize([("x", 1, 1), ("x", 1, 1)])
-    assert w.factors == (("x", 1, 2),)
+def random_free(rng, size=4):
+    return FreeElem.from_syllables(
+        (rng.randint(1, 3), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(0, size))
+    )
 
 
-def test_canonicalize_cancels_through_zero():
-    w = canonicalize([("y", 1, 2), ("y", 1, -2), ("x", 1, 1)])
-    assert w.factors == (("x", 1, 1),)
-    nested = canonicalize([("x", 1, 1), ("y", 1, 1), ("y", 1, -1), ("x", 1, -1)])
-    assert nested.factors == ()
+def random_perm(rng):
+    return Perm.from_cycle(rng.sample(range(8), rng.randint(2, 5)))
 
 
-def test_canonicalize_drops_zero_exponents():
-    assert canonicalize([("x", 2, 0)]).factors == ()
-
-
-def test_canonicalize_idempotent_random():
-    rng = random.Random(21)
-    for _ in range(300):
-        w = canonicalize(random_factors(rng))
-        assert canonicalize(w.factors) == w
-        for a, b in zip(w.factors, w.factors[1:]):
-            assert a[:2] != b[:2]
-        assert all(f[2] != 0 for f in w.factors)
-
-
-def test_canonicalize_rejects_bad_factors():
-    with pytest.raises(ValueError):
-        canonicalize([("z", 1, 1)])
-    with pytest.raises(ValueError):
-        canonicalize([("x", 0, 1)])
-
-
-def test_length_examples():
-    assert Word(()).length() == 0
-    assert canonicalize([("x", 1, 2), ("x", 2, -3)]).length() == 5
-    assert canonicalize([("x", 1, 1), ("y", 1, 4)]).length() == 5
-    assert TRIVIAL_WORD.length() == 1
-
-
-def test_is_trivial():
-    assert TRIVIAL_WORD.is_trivial
-    assert canonicalize([("y", 1, 1)]).is_trivial
-    assert not canonicalize([("x", 1, 1)]).is_trivial
-    assert not canonicalize([("x", 1, 1), ("y", 1, 1)]).is_trivial
-    assert not Word(()).is_trivial
-
-
-def test_arities_and_budget():
-    w = canonicalize([("x", 2, 1), ("y", 1, 3), ("x", 1, -1)])
-    assert w.arities() == (2, 1)
-    assert Word(()).arities() == (0, 0)
-
-
-def test_evaluate_examples():
-    t23 = Perm.transposition(2, 3)
-    t45 = Perm.transposition(4, 5)
-    w = canonicalize([("x", 1, 1), ("y", 1, 2)])
-    got = evaluate(w, [t23], [t45], PERM_OPS)
-    assert got == t23  # y-slot squares to identity
-    w2 = canonicalize([("x", 1, 1), ("y", 1, 1)])
-    assert evaluate(w2, [t23], [t45], PERM_OPS) == compose(t23, t45)
-    assert evaluate(Word(()), [], [], PERM_OPS) == IDENTITY
-
-
-def test_evaluate_negative_exponent():
-    c = Perm.from_cycle([0, 1, 2])
-    w = canonicalize([("x", 1, -2)])
-    assert evaluate(w, [c], [], PERM_OPS) == compose(c, c).inverse()
-
-
-def test_evaluate_identity_substitution():
+def test_evaluate_is_x_times_y_to_the_t():
+    # over a free group the word is x y^t, and y itself at t = 0; over
+    # permutations it agrees pointwise with chasing its unit letters, the
+    # right one first: y t times, then x (y once for the trivial word)
     rng = random.Random(22)
-    for _ in range(100):
-        w = canonicalize(random_factors(rng))
-        xa, ya = w.arities()
-        got = evaluate(w, [IDENTITY] * xa, [IDENTITY] * ya, PERM_OPS)
-        assert got == IDENTITY
-
-
-def test_evaluate_concatenation_homomorphism():
-    rng = random.Random(23)
-    pool = [Perm.transposition(2 * i, 2 * i + 1) for i in range(4)]
-    pool.append(Perm.from_cycle([0, 2, 4]))
-    for _ in range(100):
-        fa, fb = random_factors(rng), random_factors(rng)
-        joined = canonicalize(list(fa) + list(fb))
-        xs = [rng.choice(pool) for _ in range(3)]
-        ys = [rng.choice(pool) for _ in range(3)]
-        lhs = evaluate(joined, xs, ys, PERM_OPS)
-        rhs = compose(
-            evaluate(canonicalize(fa), xs, ys, PERM_OPS),
-            evaluate(canonicalize(fb), xs, ys, PERM_OPS),
-        )
-        assert lhs == rhs
+    for _ in range(200):
+        t = rng.randint(0, 4)
+        x, y = random_free(rng), random_free(rng)
+        assert evaluate(t, x, y, FREE_OPS) == (x * y**t if t else y)
+        px, py = random_perm(rng), random_perm(rng)
+        got = evaluate(t, px, py, PERM_OPS)
+        for m in range(10):
+            want = m
+            for _ in range(max(t, 1)):
+                want = py.apply(want)
+            if t:
+                want = px.apply(want)
+            assert got.apply(m) == want
 
 
 def test_nu_words_mapping():
-    w = nu_words([0, 1, 3])
-    assert w.var_budget == 1
-    assert w.gen(0) == TRIVIAL_WORD
-    assert w.gen(1).factors == (("x", 1, 1), ("y", 1, 1))
-    assert w.gen(2).factors == (("x", 1, 1), ("y", 1, 3))
-    assert w.gen(3) == TRIVIAL_WORD  # zero tail
-    assert w.gen(100) == TRIVIAL_WORD
-    assert w.gen(1).length() == 2
-    assert w.gen(2).length() == 4
+    w = nu_words([0, 1, 3, -1])
+    assert [w.gen(n) for n in (0, 1, 2, 4, 100)] == [0, 1, 3, 0, 0]  # zero tail
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^exponent entries must be naturals$"):
+            w.gen(3)
 
 
 def test_nu_words_callable_source():
     w = nu_words(lambda n: 1)
-    assert w.gen(7).factors == (("x", 1, 1), ("y", 1, 1))
-
-
-def test_nu_words_reuses_one_word_per_exponent():
-    w = nu_words([2, 0, 2, 1, -1])
-    assert w.gen(0) is w.gen(2)
-    assert w.gen(1) is w.gen(9) is TRIVIAL_WORD
-    # a wrapped gen, as a tracer installs it, still reads the same words
-    wrapped = dataclasses.replace(w, gen=lambda n: w.gen(n))
-    assert wrapped.gen(2) is w.gen(0)
-    assert wrapped.gen(3).factors == (("x", 1, 1), ("y", 1, 1))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="naturals"):
-            wrapped.gen(4)
+    assert w.gen(7) == 1
 
 
 def test_nu_words_declares_a_trivial_tail_only_for_a_list():
@@ -161,10 +73,10 @@ def test_nu_words_declares_a_trivial_tail_only_for_a_list():
     assert w.trivial_from == 4
     # the list is copied: a later append changes no word and no declaration
     entries.append(3)
-    assert w.gen(4) is TRIVIAL_WORD and w.trivial_from == 4
+    assert w.gen(4) == 0 and w.trivial_from == 4
     view = nu_words(lambda n: nu_at(entries, n))
     assert view.trivial_from is None
-    assert view.gen(4) == Word((("x", 1, 1), ("y", 1, 3)))
+    assert view.gen(4) == 3
     assert [view.gen(n) for n in range(4)] == [w.gen(n) for n in range(4)]
     assert nu_words([]).trivial_from == 0
 
