@@ -6,7 +6,7 @@ import pytest
 
 from grpeq.freegrp import FreeElem
 from grpeq.load import nu_from_json
-from grpeq.perm import Perm
+from grpeq.perm import IDENTITY, Perm, compose
 from grpeq.words import (
     GroupOps,
     evaluate,
@@ -52,6 +52,51 @@ def test_evaluate_is_x_times_y_to_the_t():
             if t:
                 want = px.apply(want)
             assert got.apply(m) == want
+
+
+def test_evaluate_examples():
+    t23 = Perm.transposition(2, 3)
+    t45 = Perm.transposition(4, 5)
+    assert evaluate(2, t23, t45, PERM_OPS) == t23  # y-slot squares to identity
+    assert evaluate(1, t23, t45, PERM_OPS) == compose(t23, t45)
+    assert evaluate(0, t23, t45, PERM_OPS) == t45  # the trivial word y1
+
+
+def test_evaluate_negative_exponent():
+    # exponents are naturals; a negative power of y is the natural power of
+    # its inverse, and a sequence with a negative entry gives no word
+    c = Perm.from_cycle([0, 1, 2])
+    assert evaluate(2, IDENTITY, c.inverse(), PERM_OPS) == compose(c, c).inverse()
+    rng = random.Random(24)
+    for _ in range(50):
+        t = rng.randint(1, 4)
+        x, y = random_free(rng), random_free(rng)
+        assert evaluate(t, x, y.inverse(), FREE_OPS) == x * y**-t
+    with pytest.raises(ValueError, match="^exponent entries must be naturals$"):
+        nu_words([1, -2]).gen(1)
+
+
+def test_evaluate_identity_substitution():
+    for t in range(8):
+        assert evaluate(t, IDENTITY, IDENTITY, PERM_OPS) == IDENTITY
+        assert evaluate(t, FREE_OPS.identity, FREE_OPS.identity, FREE_OPS) == FREE_OPS.identity
+
+
+def test_evaluate_concatenation_homomorphism():
+    # x y^(s+t) is x y^s followed by y^t, the word of exponent t at x = 1
+    rng = random.Random(23)
+    pool = [Perm.transposition(2 * i, 2 * i + 1) for i in range(4)]
+    pool.append(Perm.from_cycle([0, 2, 4]))
+    for _ in range(100):
+        s, t = rng.randint(1, 4), rng.randint(1, 4)
+        px, py = rng.choice(pool), rng.choice(pool)
+        assert evaluate(s + t, px, py, PERM_OPS) == compose(
+            evaluate(s, px, py, PERM_OPS), evaluate(t, IDENTITY, py, PERM_OPS)
+        )
+        x, y = random_free(rng), random_free(rng)
+        assert evaluate(s + t, x, y, FREE_OPS) == evaluate(s, x, y, FREE_OPS) * evaluate(
+            t, FREE_OPS.identity, y, FREE_OPS
+        )
 
 
 def test_nu_words_mapping():
