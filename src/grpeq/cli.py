@@ -17,6 +17,7 @@ witness for some pair, 3 no stabilization witness for a queried point,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -237,8 +238,11 @@ def cmd_solve(args) -> int:
 
 
 def _enumeration(args):
-    """The first --count elements of H, enumerated once and read by index."""
-    basis = freegrp.SubBasis.first(args.basis)
+    """The first --count elements of H, enumerated once and read by index.
+    They are the identity and then the letters z1, z1^-1, z2, ... in order,
+    the same for every basis of at least max(1, count // 2) generators, so
+    no more generators than that are read."""
+    basis = freegrp.SubBasis.first(min(args.basis, max(1, args.count // 2)))
     return list(islice(freegrp.h_elements(basis), args.count)).__getitem__
 
 
@@ -309,7 +313,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  A parse
+    stores nothing in it: each parse_args fills a fresh Namespace, and a
+    usage error raises before anything is stored."""
     parser = _Parser(
         prog="grpeq",
         description="Word-equation systems over permutation groups versus free groups.",

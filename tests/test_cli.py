@@ -1,14 +1,18 @@
 """Command line behavior: reports, exit codes, byte determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grpeq.cli import _Witnesses, _dump, main
+from grpeq import cli
+from grpeq.cli import _Witnesses, _dump, _enumeration, main
+from grpeq.freegrp import SubBasis, h_elements
 from grpeq.load import null_sequence_from_json
 from grpeq.perm import NoBound
 
@@ -690,13 +694,20 @@ def test_module_entry_point(tmp_path):
 
 
 def test_main_in_one_process_answers_as_fresh_processes(tmp_path, monkeypatch, capsys):
-    # one process, four calls, as the benchmark and the tests drive main:
-    # nothing a call leaves behind may change the next one's answer
+    # one process, one parser, many calls, as the benchmark and the tests
+    # drive main: nothing a call leaves behind may change the next one's
+    # answer, not even a call that leaves the parser partway through a parse
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
     nu = write_json(tmp_path / "nu.json", {"prefix": [1, 0, 2], "tail": "zero"})
+    good = ["solve", "--nu", nu, "--window", "2,3"]
     calls = [
         ["solve", "--window", "2"],
-        ["solve", "--nu", nu, "--window", "2,3"],
+        good,
+        ["solve", "--window", "2,3"],  # no --nu
+        ["frobnicate", "--count", "3"],  # no such subcommand
+        ["solve", "--nu", nu, "--window", "3"],  # a window is N,M
+        ["diagonalize", "--help"],
+        good,
         ["solve", "--nu", nu],
         ["--help"],
     ]
@@ -710,6 +721,51 @@ def test_main_in_one_process_answers_as_fresh_processes(tmp_path, monkeypatch, c
             [sys.executable, "-m", "grpeq.cli", *argv], capture_output=True, text=True,
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert run(capsys, ["scale", "--count", "1"]) == (0, "[0]\n", "")
+    built = []
+    init = cli._Parser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+    assert run(capsys, ["scale", "--count", "3"]) == (0, "[0, 2, 4]\n", "")
+    assert run(capsys, ["solve", "--window", "2"])[0] == 1
+    assert built == []
+
+
+def test_enumeration_reads_no_more_generators_than_count_needs():
+    # the first count elements of F(z1..zk) are the identity and then the
+    # letters z1, z1^-1, z2, ..., whatever k is once 2k >= count - 1
+    for k in range(1, 13):
+        for count in range(41):
+            want = list(islice(h_elements(SubBasis.first(k)), count))
+            h = _enumeration(argparse.Namespace(basis=k, count=count))
+            assert [h(r) for r in range(count)] == want, (k, count)
+
+
+def test_a_huge_basis_answers_as_a_small_one(tmp_path, capsys):
+    # 10**8 generators would take gigabytes to list; 10 are as many as
+    # the first 20 elements read
+    huge, ten = tmp_path / "huge.json", tmp_path / "ten.json"
+    assert main(["diagonalize", "--basis", "100000000", "--count", "20", "--out", str(huge)]) == 0
+    assert main(["diagonalize", "--basis", "10", "--count", "20", "--out", str(ten)]) == 0
+    assert huge.read_bytes() == ten.read_bytes()
+    code, out, err = run(capsys, [
+        "verify-blocked", "--nu", str(huge), "--basis", "100000000", "--count", "20",
+        "--check-witnesses",
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["basis"] == 100000000  # as given
+    for argv in (["diagonalize", "--count", "20"], ["verify-blocked", "--nu", str(huge), "--count", "20"]):
+        for basis in ("0", "-3"):
+            assert run(capsys, argv + ["--basis", basis]) == (
+                1, "", "error: a sub-basis must be nonempty\n",
+            )
 
 
 TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃𝄞", "a\nb\tc", ""])
