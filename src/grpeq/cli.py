@@ -20,9 +20,9 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import freegrp, load
@@ -30,116 +30,13 @@ from .load import null_sequence_from_json
 from .perm import NoBound, NotNull, NullSequence, ShortPrefix, structure_by_name
 from .scale import NotObeying, Scale, ShortScale, WitnessIndex, build_scale, obeys_certificate
 from .solver import LimitAutomorphism, WitnessNotFound, closure_check, verify_solution
-from .words import nu_to_json, nu_words, random_sparse_nu_prefix
+from .words import nu_words, random_sparse_nu_prefix
 
 EXIT_OK = 0
 EXIT_NOT_OBEYING = 2
 EXIT_WITNESS_NOT_FOUND = 3
 EXIT_BAD_DSEQ = 4
 EXIT_VERIFY_FAILED = 5
-
-
-def _dump(obj) -> str:
-    """The canonical report text: byte for byte what
-    json.dumps(obj, indent=2, sort_keys=True) gives, plus a newline, for
-    reports built from int, str, bool, None, list and dict with str keys,
-    where a _Witnesses stands for its list of per-pair dicts.  Anything
-    else raises TypeError.  json.dumps runs its pure-Python encoder once
-    indent is set; this writer takes about half its time by writing the int
-    and str items of a container inline, without a call per value."""
-    out: list[str] = []
-    _write(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-class _Witnesses:
-    """A certificate's witness list, as obeys_certificate returns it: row
-    n* holds the (i0, i1) of each pair (n*, m*) in order of m*.  _dump
-    writes it as the list of {"i0", "i1", "mStar", "nStar"} dicts in
-    row-major pair order, through one template, without building a dict
-    per pair."""
-
-    def __init__(self, rows: list[list[tuple[int, int]]]):
-        self.rows = rows
-
-    def write(self, newline: str, out: list) -> None:
-        inner = newline + "  "
-        field = "," + inner + "  "
-        template = (
-            "{" + inner + '  "i0": %d' + field + '"i1": %d' + field
-            + '"mStar": %d' + field + '"nStar": %d' + inner + "}"
-        )
-        items = [
-            template % (i0, i1, m_star, n_star)
-            for n_star, ends in enumerate(self.rows)
-            for m_star, (i0, i1) in enumerate(ends)
-        ]
-        if not items:
-            out.append("[]")
-            return
-        out.append("[" + inner + ("," + inner).join(items) + newline + "]")
-
-
-def _scalar(value) -> str:
-    """The JSON text of a scalar a report may hold."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"a report cannot hold {type(value).__name__}")
-
-
-def _write(obj, newline: str, out: list) -> None:
-    """Append the text of obj to out.  newline is a line break plus the
-    indent of obj's own line; obj's items go one level deeper."""
-    if isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            sep = "," + inner
-            kind = type(item)
-            if kind is int:
-                out.append(int.__repr__(item))
-            elif kind is str:
-                out.append(_quote(item))
-            else:
-                _write(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {type(key).__name__}")
-            item = obj[key]
-            out.append(sep + _quote(key) + ": ")
-            sep = "," + inner
-            kind = type(item)
-            if kind is int:
-                out.append(int.__repr__(item))
-            elif kind is str:
-                out.append(_quote(item))
-            else:
-                _write(item, inner, out)
-        out.append(newline + "}")
-    elif type(obj) is _Witnesses:
-        obj.write(newline, out)
-    else:
-        out.append(_scalar(obj))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -214,7 +111,7 @@ def _solve_report(d, nu_prefix, budget, window, depth):
     problems = verify_solution(limit, nw, mw)
     report = {
         "j": s.materialized(),
-        "witnesses": _Witnesses(certificate),
+        "witnesses": load.Certificate(certificate),
         "bStar": b_star,
         "equationCheck": "ok" if not problems else problems,
     }
@@ -228,12 +125,12 @@ def cmd_solve(args) -> int:
     report["command"] = "solve"
     report["config"] = {
         "d": args.d,
-        "nu": nu_to_json(nu_prefix),
+        "nu": load.nu_record(nu_prefix),
         "budget": args.budget,
         "window": list(args.window),
         "depth": args.depth,
     }
-    _emit(_dump(report), args.out)
+    _emit(load.dump(report), args.out)
     return EXIT_OK if report["equationCheck"] == "ok" else EXIT_VERIFY_FAILED
 
 
@@ -249,7 +146,7 @@ def _enumeration(args):
 def cmd_diagonalize(args) -> int:
     s = _load_scale(args.scale, args.budget)
     prefix = freegrp.diagonalize(freegrp.ascending_generators(), s, _enumeration(args), args.count)
-    _emit(_dump(prefix.to_json()), args.out)
+    _emit(load.dump(prefix), args.out)
     return EXIT_OK
 
 
@@ -260,7 +157,7 @@ def cmd_verify_blocked(args) -> int:
     report = freegrp.reverify(prefix, asc, s, _enumeration(args), args.count)
     report["command"] = "verify-blocked"
     report["config"] = {"basis": args.basis, "count": args.count, "nu": args.nu}
-    _emit(_dump(report), args.out)
+    _emit(load.dump(report), args.out)
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
@@ -293,21 +190,26 @@ def cmd_contrast(args) -> int:
         "structure": args.structure,
         "window": list(args.window),
     }
-    report["nu"] = nu_to_json(nu_prefix)
+    report["nu"] = load.nu_record(nu_prefix)
     report["permutationSide"] = "solved" if solved else "discrepant"
-    report["diagonal"] = prefix.to_json()
+    report["diagonal"] = prefix
     report["reverify"] = audit
     report["freeSide"] = (
         f"blocked({args.count})" if blocked else f"survivor({audit.get('survivor')})"
     )
-    _emit(_dump(report), args.out)
+    _emit(load.dump(report), args.out)
     ok = solved and blocked and closure_ok
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError, so they exit 1 with one error line
-    like any other input error; argparse's own exit 2 means not obeying."""
+    like any other input error; argparse's own exit 2 means not obeying.
+    A window such as -1,2 is read as a value, as a negative number is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+,-?\d+$")
 
     def error(self, message):
         raise ValueError(message)

@@ -285,12 +285,6 @@ class BlockSegment:
     target: Optional[int]
     exponent: int
 
-    def as_json(self) -> dict:
-        return {"kind": "block", "target": self.target, "exponent": self.exponent}
-
-
-Segment = Union[ObeysSegment, BlockSegment]
-
 
 @dataclass
 class NuPrefix:
@@ -298,17 +292,11 @@ class NuPrefix:
     Beyond the prefix the sequence is zero."""
 
     entries: list[int] = field(default_factory=list)
-    log: list[Segment] = field(default_factory=list)
+    log: list[Union[ObeysSegment, BlockSegment]] = field(default_factory=list)
 
     def word_seq(self):
         """The word sequence of a snapshot of the entries."""
         return nu_words(self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "entries": list(self.entries),
-            "log": [seg.as_json() for seg in self.log],
-        }
 
 
 def block(
@@ -389,13 +377,13 @@ def diagonalize(
     return prefix
 
 
-def _witness_failures(prefix: NuPrefix, s: Scale) -> list[dict]:
+def _witness_failures(prefix: NuPrefix, s: Scale) -> list[ObeysSegment]:
     """The logged ObeysSegments that make_witness rejects, each checked by
     WordSums.holds over one read of the entries' words (the zero tail past
     them is counted, not read): a segment costs its two scale reads, one
     bisect and two prefix-sum lookups.  A segment that reads past a loaded
-    scale fails.  Unlike a WitnessIndex, the
-    audit checks no word budget, as make_witness checks none.
+    scale fails.  Unlike a WitnessIndex, the audit checks no word budget,
+    as make_witness checks none.
     """
     sums = WordSums(prefix.word_seq(), s)
     failures = []
@@ -406,7 +394,7 @@ def _witness_failures(prefix: NuPrefix, s: Scale) -> list[dict]:
             except ShortScale:
                 ok = False
             if not ok:
-                failures.append(seg.as_json())
+                failures.append(seg)
     return failures
 
 

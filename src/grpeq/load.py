@@ -1,15 +1,21 @@
-"""Input files: the one module that opens one or names a JSON field.
+"""The JSON records: the one module that opens an input file or spells a
+JSON field, for reading and for writing.
 
-Loaders check the shape of their input and hand plain checked data to the
-domain constructors, which keep their own checks.  An error keeps its type
-and gains the JSON path of the rejected value ("c[12]: duplicate point 3");
-read() puts the file name in front of that.
+Each record kind has one field table, which maps each JSON field to its
+attribute, its check and, where one exists, its default.  Loaders check
+their input through the tables and hand plain checked data to the domain
+constructors, which keep their own checks.  An error keeps its type and
+gains the JSON path of the rejected value ("c[12]: duplicate point 3");
+read() puts the file name in front of that.  dump() writes a report, and
+each record in it through its table.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .freegrp import BlockSegment, NuPrefix, ObeysSegment
 from .perm import NullSequence, Perm, _checked_moves, _quotients
@@ -70,16 +76,16 @@ def _each(value, check) -> list:
     return out
 
 
-def _fields(obj, spec: dict) -> list:
-    """The checked values of a JSON object's fields, in spec's order.  spec
-    maps each field to (check,), or to (check, default) when it may be left
-    out; any other field is an error, not one left out."""
+def _fields(obj, table: dict) -> list:
+    """The checked values of a JSON object's fields, in table's order.  table
+    maps each field to (attribute, check), or to (attribute, check, default)
+    when it may be left out; any other field is an error, not one left out."""
     for key in _object(obj):
-        if key not in spec:
-            names = ", ".join(f'"{f}"' for f in spec)
+        if key not in table:
+            names = ", ".join(f'"{f}"' for f in table)
             raise ValueError(f"unknown field {shown(key)}; expected one of {names}")
     values = []
-    for key, (check, *default) in spec.items():
+    for key, (_, check, *default) in table.items():
         if key not in obj and not default:
             raise ValueError(f"missing field {shown(key)}")
         try:
@@ -96,10 +102,45 @@ def _moves(pairs) -> dict[int, int]:
 
 _naturals = partial(_each, check=_natural)
 _perms = partial(_each, check=_moves)
-_OBEYS = {"kind": (str,), "nStar": (_natural,), "mStar": (_natural,), "i0": (_natural,),
-          "i1": (_natural,)}
-_BLOCK = {"kind": (str,), "target": (lambda t: t if t is None else _natural(t),),
-          "exponent": (_natural,)}
+_KIND = {"kind": ("kind", str)}
+
+
+def _segment(item):
+    kind = _object(item).get("kind")
+    if not (isinstance(kind, str) and kind in _SEGMENTS):
+        raise ValueError(f"unknown log segment kind {shown(kind)}")
+    cls, table, _ = _SEGMENTS[kind]
+    return cls(*_fields(item, table)[1:])
+
+
+# The record kinds that are written and read back, each field in the order
+# of the arguments of the class it is read into.
+_OBEYS = {"nStar": ("n_star", _natural), "mStar": ("m_star", _natural),
+          "i0": ("i0", _natural), "i1": ("i1", _natural)}
+_BLOCK = {"target": ("target", lambda t: t if t is None else _natural(t)),
+          "exponent": ("exponent", _natural)}
+_PREFIX = {"entries": ("entries", _naturals), "log": ("log", partial(_each, check=_segment), [])}
+_NU = {"prefix": ("prefix", _naturals),
+       "tail": ("tail", partial(_expect, '"zero"', lambda t: t == "zero"), "zero")}
+
+
+def _template(table: dict, kind=None):
+    """The %-template of a record of table at the indent of "\\n", its fields
+    in sorted order with "kind" written in when given, and the getter of
+    the values it takes, in that order."""
+    texts = {field: "%s" for field in table}
+    if kind is not None:
+        texts["kind"] = _quote(kind)
+    text = "{" + ",".join(f"\n  {_quote(f)}: {texts[f]}" for f in sorted(texts)) + "\n}"
+    return text, attrgetter(*(table[f][0] for f in sorted(table)))
+
+
+# a log segment's "kind" names its class, its table with "kind" in front and
+# its template; a certificate's pair is an obeys record without "kind"
+_SEGMENTS = {kind: (cls, {**_KIND, **table}, _template(table, kind)) for kind, cls, table in
+             [("obeys", ObeysSegment, _OBEYS), ("block", BlockSegment, _BLOCK)]}
+_TEMPLATES = {cls: template for cls, _, template in _SEGMENTS.values()}
+_PAIR = _template(_OBEYS)[0]
 
 
 def _mover_bounds(value) -> dict[int, int]:
@@ -127,13 +168,13 @@ def null_sequence_from_json(obj) -> NullSequence:
     Cauchy prefix gives 0 for a point that no quotient moves."""
     kind = _object(obj).get("kind")
     if kind == "explicit":
-        spec = {"kind": (str,), "perms": (_perms,), "moverBound": (_mover_bounds, [])}
-        _, perms, bounds = _fields(obj, spec)
+        table = {**_KIND, "perms": ("perms", _perms), "moverBound": ("bounds", _mover_bounds, [])}
+        _, perms, bounds = _fields(obj, table)
         return NullSequence.explicit([Perm._trusted(moves) for moves in perms], bounds)
     if kind == "cauchy":
-        return _quotients(_fields(obj, {"kind": (str,), "c": (_perms,)})[1])
+        return _quotients(_fields(obj, {**_KIND, "c": ("c", _perms)})[1])
     if kind == "transpositions":
-        _fields(obj, {"kind": (str,)})
+        _fields(obj, _KIND)
         return NullSequence.transpositions()
     raise ValueError(f"unknown null sequence kind {shown(kind)}")
 
@@ -142,24 +183,13 @@ def nu_from_json(obj) -> list[int]:
     """The prefix of an exponent sequence {"prefix": [t0, t1, ...], "tail":
     "zero"}, which nu_words reads as zero beyond its end.  "tail" may be
     left out."""
-    tail = partial(_expect, '"zero"', lambda t: t == "zero")
-    return _fields(obj, {"prefix": (_naturals,), "tail": (tail, "zero")})[0]
-
-
-def _segment(item):
-    kind = _object(item).get("kind")
-    if kind == "obeys":
-        return ObeysSegment(*_fields(item, _OBEYS)[1:])
-    if kind == "block":
-        return BlockSegment(*_fields(item, _BLOCK)[1:])
-    raise ValueError(f"unknown log segment kind {shown(kind)}")
+    return _fields(obj, _NU)[0]
 
 
 def nu_prefix_from_json(obj) -> NuPrefix:
-    """A diagonalization prefix in the form NuPrefix.to_json writes,
+    """A diagonalization prefix in the form dump writes a NuPrefix,
     {"entries": [...], "log": [...]}; "log" may be left out."""
-    log = (partial(_each, check=_segment), [])
-    return NuPrefix(*_fields(obj, {"entries": (_naturals,), "log": log}))
+    return NuPrefix(*_fields(obj, _PREFIX))
 
 
 def scale_from_json(obj, budget: int) -> Scale:
@@ -168,4 +198,90 @@ def scale_from_json(obj, budget: int) -> Scale:
     checks that it starts at 0 and that each gap clears the budget."""
     if isinstance(obj, list):
         return Scale.from_values(_naturals(obj), _natural(budget))
-    return Scale.from_values(*_fields(obj, {"j": (_naturals,), "budget": (_natural, budget)}))
+    table = {"j": ("values", _naturals), "budget": ("budget", _natural, budget)}
+    return Scale.from_values(*_fields(obj, table))
+
+
+def nu_record(prefix) -> dict:
+    """The exponent sequence that nu_from_json reads back as prefix."""
+    return dict(zip(_NU, (list(prefix), _NU["tail"][2])))
+
+
+class Certificate(list):
+    """A certificate's rows, as obeys_certificate returns them: row n* holds
+    the (i0, i1) of each pair (n*, m*) in order of m*.  dump writes it as
+    its pairs' records in row-major order, without an object per pair."""
+
+
+def dump(obj) -> str:
+    """The canonical report text: byte for byte what
+    json.dumps(obj, indent=2, sort_keys=True) gives, plus a newline, for
+    reports built from int, str, bool, None, list, dict with str keys and
+    records (log segments, NuPrefix, Certificate).  Anything else raises
+    TypeError.  It takes about half the time of json.dumps, whose indent
+    runs the pure-Python encoder: the int and str items of a container
+    are written inline, and a segment or a pair through its template."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list) -> None:
+    """Append the text of obj to out.  newline is a line break plus the
+    indent of obj's own line; obj's items go one level deeper."""
+    if type(obj) is list:  # not a Certificate, which is written below
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            kind = type(item)
+            if kind is int:
+                out.append(int.__repr__(item))
+            elif kind is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            item = obj[key]
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            kind = type(item)
+            if kind is int:
+                out.append(int.__repr__(item))
+            elif kind is str:
+                out.append(_quote(item))
+            else:
+                _write(item, inner, out)
+        out.append(newline + "}")
+    elif type(obj) in _TEMPLATES:
+        template, values = _TEMPLATES[type(obj)]
+        values = values(obj)
+        if None in values:  # a block's target
+            values = tuple("null" if v is None else v for v in values)
+        out.append(template.replace("\n", newline) % values)
+    elif type(obj) is NuPrefix:
+        _write({f: getattr(obj, attr) for f, (attr, *_) in _PREFIX.items()}, newline, out)
+    elif type(obj) is Certificate:
+        inner = newline + "  "
+        template = _PAIR.replace("\n", inner)
+        pairs = [template % (i0, i1, m, n)  # in sorted field order: i0, i1, mStar, nStar
+                 for n, ends in enumerate(obj) for m, (i0, i1) in enumerate(ends)]
+        out.append("[" + inner + ("," + inner).join(pairs) + newline + "]" if pairs else "[]")
+    elif obj is None or isinstance(obj, (str, int)):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"a report cannot hold {type(obj).__name__}")

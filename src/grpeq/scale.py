@@ -196,10 +196,6 @@ class ObeysSegment:
     i0: int
     i1: int
 
-    def as_json(self) -> dict:
-        return {"kind": "obeys", "nStar": self.n_star, "mStar": self.m_star,
-                "i0": self.i0, "i1": self.i1}
-
 
 def make_witness(w: WordSeq, s: Scale, n_star: int, m_star: int, i0: int, i1: int) -> ObeysSegment:
     """Build and validate a witness for the given indices, raising ValueError

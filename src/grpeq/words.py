@@ -84,10 +84,6 @@ def shown(value) -> str:
     return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
-def nu_to_json(prefix: Sequence[int]) -> dict:
-    return {"prefix": list(prefix), "tail": "zero"}
-
-
 def random_sparse_nu_prefix(
     rng,
     *,

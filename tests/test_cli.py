@@ -11,10 +11,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq import cli
-from grpeq.cli import _Witnesses, _dump, _enumeration, main
-from grpeq.freegrp import SubBasis, h_elements
-from grpeq.load import null_sequence_from_json
+from grpeq.cli import _enumeration, main
+from grpeq.freegrp import BlockSegment, NuPrefix, SubBasis, h_elements
+from grpeq.load import (
+    Certificate,
+    dump,
+    nu_from_json,
+    nu_prefix_from_json,
+    nu_record,
+    null_sequence_from_json,
+)
 from grpeq.perm import NoBound
+from grpeq.scale import ObeysSegment
 
 
 def run(capsys, argv):
@@ -207,6 +215,16 @@ def test_negative_window_and_depth_rejected(tmp_path, capsys, argv):
         assert out == ""
         assert one_error_line(err)
         assert "must be" in err
+
+
+@pytest.mark.parametrize("window", ["-1,2", "-1,-2"])
+def test_negative_first_window_value_is_read_as_a_window(tmp_path, capsys, window):
+    # argparse takes "-1,2" for an option unless the parser reads it as a
+    # value, as it reads a negative number
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    for command in (["solve", "--nu", nu], ["contrast"]):
+        for argv in (["--window", window], [f"--window={window}"]):
+            assert run(capsys, command + argv) == (1, "", "error: --window must be two naturals\n")
 
 
 @pytest.mark.parametrize(
@@ -788,29 +806,57 @@ REPORTS = st.recursive(
 @example(-(10**50))
 @example({"": [], "\u00e9": {}, "a\\": [None, True, False, 10**40]})
 def test_dump_matches_json_dumps(report):
-    assert _dump(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert dump(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 INDICES = st.integers(0, 5) | st.integers(0, 10**60)
 ROWS = st.lists(st.lists(st.tuples(INDICES, INDICES), max_size=4), max_size=4)
+SEGMENTS = st.builds(ObeysSegment, INDICES, INDICES, INDICES, INDICES) | st.builds(
+    BlockSegment, st.none() | INDICES, INDICES
+)
 
 
-def per_pair(rows):
-    """The witness list as the report held it before the template: one
-    dict per pair, in row-major order."""
-    return [
-        {"nStar": n_star, "mStar": m_star, "i0": i0, "i1": i1}
-        for n_star, ends in enumerate(rows)
-        for m_star, (i0, i1) in enumerate(ends)
-    ]
+def pairs(rows):
+    """A certificate's pairs (n*, m*, i0, i1) in row-major order."""
+    return [(n, m, i0, i1) for n, ends in enumerate(rows) for m, (i0, i1) in enumerate(ends)]
 
 
-def report_shape(command, witnesses, j, other):
-    """A report of the given command's shape around a witness list; other
-    stands in for the values the witnesses sit between."""
+def read_pairs(pair_records):
+    # a pair is an obeys record without "kind"
+    log = [{"kind": "obeys", **pair} for pair in pair_records]
+    return [(s.n_star, s.m_star, s.i0, s.i1) for s in read_log(log)]
+
+
+def read_log(log):
+    return nu_prefix_from_json({"entries": [], "log": log}).log
+
+
+def same(record):
+    return record
+
+
+# each record kind: (what it is drawn from, what dump is given for it, what
+# the written JSON value reads back as, and what that must equal)
+RECORD_KINDS = {
+    "segment": (SEGMENTS, same, lambda obj: read_log([obj])[0], same),
+    "prefix": (
+        st.builds(NuPrefix, st.lists(INDICES, max_size=6), st.lists(SEGMENTS, max_size=5)),
+        same, nu_prefix_from_json, same,
+    ),
+    "nu": (st.lists(INDICES, max_size=6), nu_record, nu_from_json, same),
+    "certificate": (ROWS, Certificate, read_pairs, pairs),
+}
+RECORDS = st.one_of(
+    *(st.tuples(st.just(kind), strategy) for kind, (strategy, *_) in RECORD_KINDS.items())
+)
+
+
+def report_shape(command, record, j, other):
+    """A report of the given command's shape, with a record where its
+    certificate goes; other stands in for the values around it."""
     report = {
         "j": j,
-        "witnesses": witnesses,
+        "witnesses": record,
         "bStar": other,
         "equationCheck": "ok",
         "command": command,
@@ -828,26 +874,60 @@ def report_shape(command, witnesses, j, other):
     return report
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def nest(record, depth, other):
+    """The record depth levels down, through a dict and a list beside other."""
+    for _ in range(depth):
+        record = {"a": [other, {"b": record}]}
+    return record
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    rows=ROWS,
-    command=st.sampled_from(["solve", "contrast"]),
+    record=RECORDS,
+    where=st.sampled_from(["solve", "contrast"]) | st.integers(0, 3),
     j=st.lists(INDICES, max_size=4),
     other=REPORTS,
 )
-@example(rows=[], command="solve", j=[], other=[])
-@example(rows=[[]], command="contrast", j=[0], other={})
-@example(rows=[[(10**50, 10**60)]], command="solve", j=[0, 2], other=None)
-@example(rows=[[(m + 1, 2 * m + 7) for m in range(9)] for _ in range(7)], command="contrast",
-         j=[0, 2, 4], other=[[0, [[0, 1]]]])
-def test_dump_writes_witness_rows_as_per_pair_dicts(rows, command, j, other):
-    report = report_shape(command, _Witnesses(rows), j, other)
-    want = report_shape(command, per_pair(rows), j, other)
-    assert _dump(report) == json.dumps(want, indent=2, sort_keys=True) + "\n"
-    # at any depth, not only at the report's top level
-    nested = {"a": [j, {"b": _Witnesses(rows)}]}
-    want = {"a": [j, {"b": per_pair(rows)}]}
-    assert _dump(nested) == json.dumps(want, indent=2, sort_keys=True) + "\n"
+@example(record=("certificate", []), where="solve", j=[], other=[])
+@example(record=("certificate", [[]]), where="contrast", j=[0], other={})
+@example(record=("certificate", [[(10**50, 10**60)]]), where="solve", j=[0, 2], other=None)
+@example(record=("certificate", [[(m + 1, 2 * m + 7) for m in range(9)] for _ in range(7)]),
+         where="contrast", j=[0, 2, 4], other=[[0, [[0, 1]]]])
+@example(record=("segment", BlockSegment(None, 3)), where=2, j=[], other=[])
+@example(record=("prefix", NuPrefix([0, 0, 2], [ObeysSegment(0, 0, 1, 5), BlockSegment(0, 2),
+                                                BlockSegment(None, 3)])), where=1, j=[], other={})
+def test_every_record_kind_round_trips_through_its_table(record, where, j, other):
+    # each kind is written canonically at any depth and in the reports'
+    # shapes, and what is written reads back as the record
+    kind, value = record
+    _, written, read_back, want = RECORD_KINDS[kind]
+    if isinstance(where, str):
+        text = dump(report_shape(where, written(value), j, other))
+        got = json.loads(text)["witnesses"]
+    else:
+        text = dump(nest(written(value), where, other))
+        got = json.loads(text)
+        for _ in range(where):
+            got = got["a"][1]["b"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert read_back(got) == want(value)
+
+
+def test_records_are_written_in_their_documented_form():
+    cases = [
+        (ObeysSegment(0, 1, 2, 3), {"kind": "obeys", "nStar": 0, "mStar": 1, "i0": 2, "i1": 3}),
+        (BlockSegment(None, 2), {"kind": "block", "target": None, "exponent": 2}),
+        (NuPrefix([0, 2], [BlockSegment(0, 2)]),
+         {"entries": [0, 2], "log": [{"kind": "block", "target": 0, "exponent": 2}]}),
+        (nu_record((0, 2)), {"prefix": [0, 2], "tail": "zero"}),
+        (Certificate([[(1, 5), (2, 7)], [(3, 9)]]), [
+            {"nStar": 0, "mStar": 0, "i0": 1, "i1": 5},
+            {"nStar": 0, "mStar": 1, "i0": 2, "i1": 7},
+            {"nStar": 1, "mStar": 0, "i0": 3, "i1": 9},
+        ]),
+    ]
+    for record, want in cases:
+        assert dump(record) == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -856,4 +936,4 @@ def test_dump_writes_witness_rows_as_per_pair_dicts(rows, command, j, other):
 )
 def test_dump_rejects_what_a_report_cannot_hold(bad):
     with pytest.raises(TypeError):
-        _dump(bad)
+        dump(bad)

@@ -1,5 +1,6 @@
 """Free-group side: roots, projections, chains, and diagonalization."""
 
+import json
 import random
 from itertools import islice
 
@@ -27,7 +28,7 @@ from grpeq.freegrp import (
     project,
     reverify,
 )
-from grpeq.load import nu_prefix_from_json
+from grpeq.load import dump, nu_prefix_from_json
 from grpeq.perm import NullSequence
 from grpeq.scale import build_scale, check_witness, make_witness
 
@@ -366,7 +367,7 @@ def test_nu_prefix_json_roundtrip():
         [0, 0, 2],
         [ObeysSegment(0, 0, 1, 5), BlockSegment(0, 2), BlockSegment(None, 3)],
     )
-    blob = p.to_json()
+    blob = json.loads(dump(p))
     assert blob["entries"] == [0, 0, 2]
     assert blob["log"][0]["kind"] == "obeys"
     assert blob["log"][1] == {"kind": "block", "target": 0, "exponent": 2}

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from grpeq.freegrp import FreeElem
-from grpeq.load import nu_from_json
+from grpeq.load import nu_from_json, nu_record
 from grpeq.perm import IDENTITY, Perm, compose
 from grpeq.words import (
     GroupOps,
     evaluate,
     nu_at,
-    nu_to_json,
     nu_words,
     random_sparse_nu_prefix,
 )
@@ -133,7 +132,7 @@ def test_nu_at():
 
 def test_nu_json_roundtrip():
     nu = [0, 2, 0, 1]
-    blob = nu_to_json(nu)
+    blob = nu_record(nu)
     assert blob == {"prefix": [0, 2, 0, 1], "tail": "zero"}
     loaded = nu_from_json(blob)
     assert loaded == nu
