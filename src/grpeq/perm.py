@@ -7,6 +7,7 @@ dyadic rational, and null sequences carry an explicit mover bound so that
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -78,12 +79,13 @@ class Perm:
         object.__setattr__(self, "_inv", {v: k for k, v in moves.items()})
 
     @classmethod
-    def _trusted(cls, moves: dict[int, int]) -> "Perm":
+    def _trusted(cls, moves: dict[int, int], inv: Optional[dict[int, int]] = None) -> "Perm":
         """A Perm on moves, which must already be a permutation of its
-        support with no fixed points; nothing is revalidated."""
+        support with no fixed points; nothing is revalidated.  inv, when
+        given, must be the inverse map (moves itself for an involution)."""
         p = object.__new__(cls)
         object.__setattr__(p, "_map", moves)
-        object.__setattr__(p, "_inv", {v: k for k, v in moves.items()})
+        object.__setattr__(p, "_inv", {v: k for k, v in moves.items()} if inv is None else inv)
         return p
 
     def __setattr__(self, name, value):
@@ -199,6 +201,10 @@ class NullSequence:
     index k >= K(m), the k-th term fixes m.  The bound makes membership
     checks finite.  Sequences may be infinite (generated) or finite prefixes
     loaded from data.
+
+    scale_memo, where scale.build_scale keeps the scales over a sequence,
+    is None except on the built-in family: a loaded sequence keeps nothing
+    that points back at it, so it is freed with its command.
     """
 
     def __init__(
@@ -210,6 +216,7 @@ class NullSequence:
         self._gen = gen
         self._mover_bound = mover_bound
         self.length = length
+        self.scale_memo: Optional[dict] = None
 
     def perm(self, n: int) -> Perm:
         if n < 0:
@@ -222,18 +229,33 @@ class NullSequence:
         return self._mover_bound(m)
 
     @classmethod
+    @functools.cache
     def transpositions(cls) -> "NullSequence":
-        """The built-in family: term n swaps 2n and 2n+1.
+        """The built-in family: term n swaps 2n and 2n+1.  It is one object
+        per process, made on the first call.  It keeps the terms it builds,
+        in order of index, so a term read in order is built once, and it
+        keeps the scales over it (scale_memo).
 
         Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.  A
         term is a transposition by construction (perm() rejects n < 0), so
-        it is built trusted, as compose builds its products.
+        it is built trusted, as compose builds its products, with one map
+        for itself and its inverse.
         """
-        return cls(
-            gen=lambda n: Perm._trusted({2 * n: 2 * n + 1, 2 * n + 1: 2 * n}),
-            mover_bound=lambda m: m // 2 + 1,
-            length=None,
-        )
+        terms: list[Perm] = []
+
+        def term(n: int) -> Perm:
+            if n < len(terms):
+                return terms[n]
+            a, b = 2 * n, 2 * n + 1
+            moves = {a: b, b: a}
+            p = Perm._trusted(moves, moves)
+            if n == len(terms):  # kept in order: a read far ahead keeps nothing
+                terms.append(p)
+            return p
+
+        d = cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
+        d.scale_memo = {}
+        return d
 
     @classmethod
     def explicit(

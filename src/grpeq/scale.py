@@ -45,18 +45,25 @@ class ShortScale(IndexError):
 
 class Scale:
     """A materialized scale prefix, optionally backed by an extender that
-    returns the next entry each time it is called.  Reads are pure:
-    extending the memo never changes previously returned values."""
+    returns entry n when called with n, the number of entries read so far.
+    Reads are pure: extending the memo never changes previously returned
+    values.  Views that share one extender each list only their own reads.
+
+    endless declares that every index has an entry, as over an infinite
+    driving sequence: a read never raises, and j(n) >= n since the entries
+    rise from j(0) = 0."""
 
     def __init__(
         self,
         values: list[int],
         budget: int,
-        extend: Optional[Callable[[], int]] = None,
+        extend: Optional[Callable[[int], int]] = None,
+        endless: bool = False,
     ):
         self._values = list(values)
         self.budget = budget
         self._extend = extend
+        self.endless = endless
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -66,7 +73,7 @@ class Scale:
                 raise ShortScale(
                     f"scale has {len(self._values)} loaded entries, asked for index {n}"
                 )
-            self._values.append(self._extend())
+            self._values.append(self._extend(len(self._values)))
         return self._values[n]
 
     def prefix(self, count: int) -> list[int]:
@@ -116,27 +123,33 @@ def _next_scale_entry(d: NullSequence, budget: int, js: list[int]) -> int:
 class _Extension:
     """The rule of _next_scale_entry, kept as running state.
 
-    Each call returns the entry after the last one it returned, starting
-    from j_0 = 0.  Entry n+1 first fetches term n, so a short driving prefix
-    fails at the same entry as the direct rule; then it folds in the mover
-    bounds of the points below j_n not yet seen; then it releases from the
-    pending heap every moved point of a fetched term that j_n has passed.
-    A call that raises leaves the state consistent, so a retried read
-    raises the same error.
+    A call with n returns entry n, computing the entries up to it in order
+    from j_0 = 0 and keeping them in entries.  Entry n+1 first fetches term
+    n, so a short driving prefix fails at the same entry as the direct rule;
+    then it folds in the mover bounds of the points below j_n not yet seen;
+    then it releases from the pending heap every moved point of a fetched
+    term that j_n has passed.  A call that raises leaves the state
+    consistent, so a retried read raises the same error.
     """
 
     def __init__(self, d: NullSequence, budget: int):
         self._d = d
         self._budget = budget
-        self._last = 0  # j_n
+        self.entries = [0]  # j_0 .. j_n
         self._terms = 0  # terms 0 .. _terms - 1 are fetched
         self._reach = 0  # max(p(m), p^-1(m)) + 1 over released moved points
         self._bounded = 0  # mover bounds of points below this are in _mover
         self._mover = 0
         self._pending: list[tuple[int, int]] = []  # (moved point, its reach)
 
-    def __call__(self) -> int:
-        jn = self._last
+    def __call__(self, n: int) -> int:
+        entries = self.entries
+        while len(entries) <= n:
+            entries.append(self._next())
+        return entries[n]
+
+    def _next(self) -> int:
+        jn = self.entries[-1]
         p = self._d.perm(self._terms)
         while self._bounded < jn:
             self._mover = max(self._mover, self._d.mover_bound(self._bounded))
@@ -146,8 +159,7 @@ class _Extension:
             heapq.heappush(self._pending, (m, max(p.apply(m), p.inverse_apply(m)) + 1))
         while self._pending and self._pending[0][0] < jn:
             self._reach = max(self._reach, heapq.heappop(self._pending)[1])
-        self._last = max(jn + self._budget + 1, self._reach, self._mover)
-        return self._last
+        return max(jn + self._budget + 1, self._reach, self._mover)
 
 
 def build_scale(d: NullSequence, budget: int, count: int) -> Scale:
@@ -158,10 +170,18 @@ def build_scale(d: NullSequence, budget: int, count: int) -> Scale:
     fixed m < j_n gives m + 1 <= j_n), so each moved point enters once,
     when both its term and j_n have passed it, and the mover-bound clause
     is a prefix maximum.  verify_scale rechecks against the direct rule.
+    The entries depend only on d and the budget, so over a sequence with a
+    scale_memo (the built-in one, one object per process) every scale of a
+    budget shares that budget's extension, and each entry is computed once
+    per process; the memo assumes one thread.  The returned Scale is still
+    a fresh view that lists only the entries its own command read.
     """
     if budget < 0:
         raise ValueError("budget must be a natural")
-    scale = Scale([0], budget, extend=_Extension(d, budget))
+    memo = {} if d.scale_memo is None else d.scale_memo  # a loaded sequence keeps none
+    if budget not in memo:
+        memo[budget] = _Extension(d, budget)
+    scale = Scale([0], budget, extend=memo[budget], endless=d.length is None)
     scale.prefix(count)
     return scale
 
@@ -286,25 +306,44 @@ class WordSums:
         total = j0 + 1 - n_star if n_star >= tail else lens[tail] - lens[n_star] + j0 + 1 - tail
         return max(i0 + total + 1, n_star + 1)
 
+    def _first_nontrivial(self, j0: int) -> Optional[int]:
+        """The first nontrivial index read at or after j0, or None."""
+        nontrivial = self._nontrivial
+        k = bisect_left(nontrivial, j0)
+        return nontrivial[k] if k < len(nontrivial) else None
+
     def all_trivial(self, j0: int, j1: int) -> bool:
         """Whether the words j0..j1 are all trivial: the first nontrivial
         index at or after j0 lies past j1.  No index from w.trivial_from on
         is nontrivial."""
         if j1 >= self._unread:
             self._read_through(j1)
-        nontrivial = self._nontrivial
-        k = bisect_left(nontrivial, j0)
-        return k == len(nontrivial) or nontrivial[k] > j1
+        t = self._first_nontrivial(j0)
+        return t is None or t > j1
 
     def holds(self, seg: ObeysSegment) -> bool:
         """Whether seg passes every clause make_witness checks.  Once the
-        order clauses pass it reads j(i0) and j(i1), so a loaded scale that
-        ends before j(i1) raises ShortScale, as make_witness does."""
+        order clauses pass it reads j(i0), then j(i1) when the triviality
+        clause needs it, so a loaded scale that ends before j(i1) raises
+        ShortScale, as make_witness does.
+
+        On an endless scale with a declared trivial tail, the first
+        nontrivial word t at or after j(i0) decides that clause: it fails
+        when i1 >= t, since j(i1) >= i1, and passes when there is no t.
+        Only i1 < t reads j(i1), so a logged i1 far past the words costs
+        no scale read."""
         n_star, i0, i1 = seg.n_star, seg.i0, seg.i1
         if not (0 <= seg.m_star < i0 and 0 <= n_star < i1 and i0 < i1):
             return False
-        j0 = self.s.value(i0)
-        return self.all_trivial(j0, self.s.value(i1)) and i1 >= self.least_i1(n_star, i0, j0)
+        s, tail = self.s, self.w.trivial_from
+        j0 = s.value(i0)
+        if s.endless and tail is not None:
+            self._read_through(tail)
+            t = self._first_nontrivial(j0)
+            trivial = t is None or (i1 < t and s.value(i1) < t)
+        else:
+            trivial = self.all_trivial(j0, s.value(i1))
+        return trivial and i1 >= self.least_i1(n_star, i0, j0)
 
 
 class WitnessIndex(WordSums):

@@ -714,11 +714,24 @@ def test_module_entry_point(tmp_path):
 def test_main_in_one_process_answers_as_fresh_processes(tmp_path, monkeypatch, capsys):
     # one process, one parser, many calls, as the benchmark and the tests
     # drive main: nothing a call leaves behind may change the next one's
-    # answer, not even a call that leaves the parser partway through a parse
+    # answer, not even a call that leaves the parser partway through a parse.
+    # The built-in scale's entries are kept for the process: calls that read
+    # many of them come first, and a later, smaller solve still reports in
+    # "j" only the entries it read itself
     monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
     nu = write_json(tmp_path / "nu.json", {"prefix": [1, 0, 2], "tail": "zero"})
     good = ["solve", "--nu", nu, "--window", "2,3"]
     calls = [
+        *(
+            call + ["--budget", budget]
+            for budget in ("1", "2")
+            for call in (
+                ["diagonalize", "--count", "60"],
+                ["solve", "--nu", nu, "--window", "8,20"],
+                ["solve", "--nu", nu, "--window", "2,3"],
+                ["scale", "--count", "3"],
+            )
+        ),
         ["solve", "--window", "2"],
         good,
         ["solve", "--window", "2,3"],  # no --nu

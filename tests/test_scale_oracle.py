@@ -5,13 +5,23 @@ _next_scale_entry recomputes every entry from every earlier term and every
 earlier point.  Both are read entry by entry until count entries or the
 first error, and must agree on the entries and on the error: its type, its
 message and the entry that raised it.
+
+Over the built-in sequence every scale of a budget shares one extension for
+the life of the process; each Scale is a view that lists only its own reads.
 """
+
+import functools
+import gc
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from grpeq.load import null_sequence_from_json
 from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null
 from grpeq.scale import _next_scale_entry, build_scale
+from grpeq.solver import LimitAutomorphism, verify_solution
+from grpeq.words import nu_words
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -48,6 +58,8 @@ def test_builtin_family_matches_reference(budget):
     d = NullSequence.transpositions()
     got = incremental(d, budget, 120)
     assert got == reference(d, budget, 120)
+    # the same terms without the process memo: a fresh extension from j_0
+    assert incremental(NullSequence(d.perm, d.mover_bound), budget, 120) == got
     assert got[0] == build_scale(d, budget, 120).prefix(120)
     # a late read first, then an early one
     s = build_scale(d, budget, 1)
@@ -126,3 +138,48 @@ def test_out_of_order_reads_match_prefix(c, order):
     got = {n: s.value(n) for n in order}
     assert [got[n] for n in range(41)] == build_scale(d, 1, 41).prefix(41)
 
+
+@functools.cache
+def builtin_entries(budget):
+    return reference(NullSequence.transpositions(), budget, 41)[0]
+
+
+@ORACLE
+@given(
+    budget=st.integers(0, 3),
+    counts=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    reads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=30),
+)
+def test_builtin_views_share_entries_and_list_only_their_own_reads(budget, counts, reads):
+    d = NullSequence.transpositions()
+    assert d is NullSequence.transpositions()
+    want = builtin_entries(budget)
+    views = [build_scale(d, budget, count) for count in counts]
+    last = [max(count - 1, 0) for count in counts]  # the largest index each view read
+    for v, n in reads:
+        v %= len(views)
+        assert views[v].value(n) == want[n]
+        last[v] = max(last[v], n)
+    for view, n in zip(views, last):
+        assert view.materialized() == want[: n + 1]
+    assert d.scale_memo[budget].entries[: max(last) + 1] == want[: max(last) + 1]
+
+
+def test_a_loaded_sequence_is_freed_with_its_command():
+    # only the built-in sequence keeps scales; nothing points back at a
+    # loaded one, so with the cycle collector off it dies with its last
+    # reference
+    c = [[[n, n + 1], [n + 1, n]] if k == 0 else [[n + 2, n + 3], [n + 3, n + 2]]
+         for n in range(0, 40, 2) for k in range(2)]
+    gc.disable()
+    try:
+        d = null_sequence_from_json({"kind": "cauchy", "c": c})
+        assert d.scale_memo is None
+        s = build_scale(d, 1, 5)
+        limit = LimitAutomorphism(d, nu_words([1, 0, 2]), s)
+        assert verify_solution(limit, 2, 3) == []
+        freed = weakref.ref(d)
+        del d, s, limit
+        assert freed() is None
+    finally:
+        gc.enable()
