@@ -12,6 +12,7 @@ each record in it through its table.
 
 from __future__ import annotations
 
+import gc
 import json
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -25,7 +26,12 @@ from .words import shown
 
 def read(path: str, parse, *args):
     """parse(the JSON value in the UTF-8 file at path, *args), with the
-    file named in front of the message of any ValueError."""
+    file named in front of the message of any ValueError.  The cyclic
+    garbage collector is off across both, and on again after only if it
+    was on: the decoded lists all live until the parse returns and form no
+    cycle, so its passes over them would free nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
             value = json.load(fh)
@@ -37,6 +43,9 @@ def read(path: str, parse, *args):
     except ValueError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _at(exc: ValueError, step: str) -> ValueError:
@@ -95,13 +104,21 @@ def _fields(obj, table: dict) -> list:
     return values
 
 
-def _moves(pairs) -> dict[int, int]:
-    # the loading hot path: one call per permutation on top of the check
-    return _checked_moves(pairs if isinstance(pairs, list) else _list(pairs))
+def _perms(value) -> list[dict[int, int]]:
+    """_each(value, check=_checked_moves) for a JSON list of permutations,
+    each a JSON list of pairs, in one loop: the loading hot path."""
+    members = _list(value)
+    out = []
+    append = out.append
+    try:
+        for pairs in members:
+            append(_checked_moves(pairs if type(pairs) is list else _list(pairs)))
+    except ValueError as exc:
+        raise _at(exc, f"[{len(out)}]")
+    return out
 
 
 _naturals = partial(_each, check=_natural)
-_perms = partial(_each, check=_moves)
 _KIND = {"kind": ("kind", str)}
 
 

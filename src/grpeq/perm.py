@@ -165,15 +165,19 @@ IDENTITY = Perm()
 
 def compose(f: Perm, g: Perm) -> Perm:
     """The permutation m -> f(g(m)), so the right factor acts first."""
-    fm, gm = f._map, g._map
+    # a composition of permutations is a permutation: nothing to revalidate
+    return Perm._trusted(_product(f._map, g._map))
+
+
+def _product(fm: dict[int, int], gm: dict[int, int]) -> dict[int, int]:
+    """The moves of m -> fm(gm(m)), for the moves of two permutations."""
     moves = {}
     for m in fm.keys() | gm.keys():
         x = gm.get(m, m)
         y = fm.get(x, x)
         if y != m:
             moves[m] = y
-    # a composition of permutations is a permutation: nothing to revalidate
-    return Perm._trusted(moves)
+    return moves
 
 
 def metric(f: Perm, g: Perm) -> Fraction:
@@ -275,10 +279,13 @@ class NullSequence:
             if p.is_identity:
                 raise NotNull(f"term {i} is the identity")
         bounds = dict(mover_bounds)
+        # one pass over the supports finds the points whose bound fails; a
+        # scan from the bound names the first failing term, only on error
+        failing = {m for i, p in enumerate(terms) for m in p._map if bounds.get(m, i + 1) <= i}
         for m, k in bounds.items():
-            for idx in range(k, len(terms)):
-                if terms[idx].apply(m) != m:
-                    raise NoBound(f"declared bound {k} for point {m} fails at term {idx}")
+            if m in failing:
+                idx = next(idx for idx in range(k, len(terms)) if terms[idx].apply(m) != m)
+                raise NoBound(f"declared bound {k} for point {m} fails at term {idx}")
 
         def lookup(m: int) -> int:
             if m in bounds:
@@ -298,9 +305,10 @@ def cauchy_to_null(c: Sequence[Perm]) -> NullSequence:
     Term n moves m exactly when c[2n](m) != c[2n+1](m), and only points
     that a member of the pair moves can differ.  So one pass over each
     pair's moved points gives the mover bound of every point (one past the
-    last pair that moves it, 0 when no pair does) and the collapse check,
-    without composing anything.  Term n is built the first time it is
-    fetched and kept for later fetches.
+    last pair that moves it, 0 when no pair does), without composing
+    anything; a pair collapses when its two maps are equal.  Term n is
+    built from the two maps the first time it is fetched, and kept for
+    later fetches.
     """
     return _quotients([p._map for p in c])
 
@@ -311,22 +319,25 @@ def _quotients(c: list[dict[int, int]]) -> NullSequence:
         raise NotNull(f"cauchy prefix has odd length {len(c)}: c[{len(c) - 1}] has no partner")
     count = len(c) // 2
     bounds: dict[int, int] = {}
-    for n in range(count):
-        a, b = c[2 * n], c[2 * n + 1]
-        moved = False
-        for m in a.keys() | b.keys():
-            if a.get(m, m) != b.get(m, m):
-                bounds[m] = n + 1
-                moved = True
-        if not moved:
+    pairs = iter(c)
+    for n, (a, b) in enumerate(zip(pairs, pairs)):
+        # maps with no fixed points are equal exactly when the members are
+        if a == b:
             raise NotNull(f"pair {n} collapses: c[{2 * n}] equals c[{2 * n + 1}]")
+        bound, get = n + 1, b.get
+        for m, x in a.items():
+            if get(m, m) != x:
+                bounds[m] = bound
+        for m in b:
+            if m not in a:  # a fixes m and b moves it
+                bounds[m] = bound
     terms: list[Optional[Perm]] = [None] * count
 
     def quotient(n: int) -> Perm:
         d = terms[n]
         if d is None:
-            a, b = Perm._trusted(c[2 * n]), Perm._trusted(c[2 * n + 1])
-            d = terms[n] = compose(a.inverse(), b)
+            a_inv = {q: p for p, q in c[2 * n].items()}
+            d = terms[n] = Perm._trusted(_product(a_inv, c[2 * n + 1]))
         return d
 
     return NullSequence(

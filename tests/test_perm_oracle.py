@@ -1,4 +1,5 @@
-"""The Cauchy loader and the trusted compose against plain-dict references.
+"""The Cauchy loader, the explicit prefix's bound check and the trusted
+compose against plain-dict references.
 
 null_sequence_from_json reads a Cauchy prefix into plain maps, takes the
 mover bounds and the collapse check from c[2n](m) != c[2n+1](m), and builds
@@ -6,23 +7,32 @@ each quotient on its first fetch.  The reference below is the eager rule:
 validate every c[i] as a map, compose every quotient inverse(c[2n]) c[2n+1]
 up front, and read the bounds off the quotient supports.  Both must give
 the same terms in any read order, the same bounds, and on a defective input
-the same exception type and message.
+the same exception type and message.  An explicit prefix's declared bounds
+are checked against the per-point scan: for each (m, K) in order, every
+term from K on must fix m.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json
-from grpeq.perm import IDENTITY, NotNull, Perm, cauchy_to_null, compose
+from grpeq.perm import IDENTITY, NoBound, NotNull, NullSequence, Perm, cauchy_to_null, compose
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 def reference_moves(pairs):
     """A pair list as a dict of moved points, with the eager rule's checks
-    in its order: every duplicate first, then naturals, then permutation."""
+    in its order: a member that is not a list and a pair that is not two
+    values fail at once, then every duplicate, then naturals, then
+    permutation."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"expected a JSON list, got {pairs!r}")
     mapping = {}
-    for p, q in pairs:
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"not a [point, image] pair: {pair!r}")
+        p, q = pair
         if p in mapping:
             raise ValueError(f"duplicate point {p}")
         mapping[p] = q
@@ -118,14 +128,22 @@ def test_loader_matches_eager_reference(c, data):
             assert d.mover_bound(m) == bounds.get(m, 0)
 
 
-DEFECTS = ["duplicate", "negative", "non-permutation", "collapse", "odd"]
+DEFECTS = ["duplicate", "negative", "non-permutation", "collapse", "odd", "not-a-list", "bad-pair"]
+NOT_LISTS = [5, "ab", {"a": 1}, None]
+BAD_PAIRS = [[1, 2, 3], [4], 5, "ab", {"a": 1}, None]
 
 
 def inject(c, defect, late):
     """Put one defect into c, in its first or its last pair."""
     n = len(c) // 2 - 1 if late else 0
     i = 2 * n + (1 if late else 0)
-    if defect == "duplicate":
+    if not (isinstance(c[2 * n], list) and isinstance(c[2 * n + 1], list)):
+        return  # a member that is no longer a list keeps that defect
+    if defect == "not-a-list":
+        c[i] = NOT_LISTS[len(c[i]) % len(NOT_LISTS)]
+    elif defect == "bad-pair":
+        c[i] = c[i] + [BAD_PAIRS[len(c[i]) % len(BAD_PAIRS)]]
+    elif defect == "duplicate":
         c[i] = c[i] + [[7, 7], [7, 8]]
     elif defect == "negative":
         c[i] = c[i] + [[-1, -1]]
@@ -173,6 +191,50 @@ def test_checks_keep_their_order(c, message):
         with pytest.raises(ValueError) as exc:
             load(c)
         assert str(exc.value) == want
+
+
+def reference_explicit(terms, bounds):
+    """The bounds of an explicit prefix of plain dicts, by the per-point
+    scan: no term is the identity, then each declared (m, K) in order
+    fails at the first term from K on that moves m."""
+    for i, t in enumerate(terms):
+        if not t:
+            raise NotNull(f"term {i} is the identity")
+    for m, k in bounds:
+        for idx in range(k, len(terms)):
+            if terms[idx].get(m, m) != m:
+                raise NoBound(f"declared bound {k} for point {m} fails at term {idx}")
+    return dict(bounds)
+
+
+@st.composite
+def explicit_prefixes(draw, width=6, max_terms=12):
+    """Terms below width + 2, now and then one identity, and declared
+    bounds (m, K) for distinct points, each K the least true bound or any
+    index up to one past the end."""
+    swap = {width: width + 1, width + 1: width}
+    identity = draw(st.integers(-1, 2 * max_terms))
+    terms = [{} if i == identity else reference_moves(p) or swap
+             for i, p in enumerate(draw(st.lists(pair_list(width), max_size=max_terms)))]
+    last = {m: i for i, t in enumerate(terms) for m in t}
+    points = draw(st.lists(st.integers(0, width + 1), unique=True, max_size=width))
+    return terms, [(m, draw(st.just(last.get(m, -1) + 1) | st.integers(0, len(terms) + 1)))
+                   for m in points]
+
+
+@ORACLE
+@given(prefix=explicit_prefixes())
+def test_explicit_bounds_match_the_per_point_scan(prefix):
+    terms, bounds = prefix
+    want = outcome(lambda: reference_explicit(terms, bounds))
+    obj = {"kind": "explicit", "perms": [[[p, q] for p, q in t.items()] for t in terms],
+           "moverBound": [[m, k] for m, k in bounds]}
+    for load in (lambda: NullSequence.explicit([Perm(t) for t in terms], bounds),
+                 lambda: null_sequence_from_json(obj)):
+        got = outcome(load)
+        assert got[1:] == want[1:]
+        if want[0] is not None:
+            assert {m: got[0].mover_bound(m) for m in want[0]} == want[0]
 
 
 def perms(width=12):
