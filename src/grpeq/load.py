@@ -161,17 +161,22 @@ _PAIR = _template(_OBEYS)[0]
 
 
 def _mover_bounds(value) -> dict[int, int]:
+    """The bounds of a JSON list of [point, bound] pairs of naturals, each
+    pair checked in one step of one loop; an error gains the pair's index."""
+    items = _list(value)
     bounds: dict[int, int] = {}
-
-    def add(pair):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"expected a [point, bound] pair, got {shown(pair)}")
-        m, k = _naturals(pair)
-        if m in bounds:
-            raise ValueError(f"duplicate point {m}")
-        bounds[m] = k
-
-    _each(value, add)
+    try:
+        for pair in items:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"expected a [point, bound] pair, got {shown(pair)}")
+            m, k = pair
+            if type(m) is not int or type(k) is not int or m < 0 or k < 0:
+                _naturals(pair)  # names the first item that is not a natural
+            if m in bounds:
+                raise ValueError(f"duplicate point {m}")
+            bounds[m] = k
+    except ValueError as exc:  # every earlier pair is in bounds
+        raise _at(exc, f"[{len(bounds)}]")
     return bounds
 
 

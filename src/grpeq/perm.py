@@ -205,10 +205,6 @@ class NullSequence:
     index k >= K(m), the k-th term fixes m.  The bound makes membership
     checks finite.  Sequences may be infinite (generated) or finite prefixes
     loaded from data.
-
-    scale_memo, where scale.build_scale keeps the scales over a sequence,
-    is None except on the built-in family: a loaded sequence keeps nothing
-    that points back at it, so it is freed with its command.
     """
 
     def __init__(
@@ -220,7 +216,6 @@ class NullSequence:
         self._gen = gen
         self._mover_bound = mover_bound
         self.length = length
-        self.scale_memo: Optional[dict] = None
 
     def perm(self, n: int) -> Perm:
         if n < 0:
@@ -236,30 +231,20 @@ class NullSequence:
     @functools.cache
     def transpositions(cls) -> "NullSequence":
         """The built-in family: term n swaps 2n and 2n+1.  It is one object
-        per process, made on the first call.  It keeps the terms it builds,
-        in order of index, so a term read in order is built once, and it
-        keeps the scales over it (scale_memo).
+        per process, made on the first call; it keeps no terms, and
+        scale.build_scale keeps the scales over it.
 
         Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.  A
         term is a transposition by construction (perm() rejects n < 0), so
         it is built trusted, as compose builds its products, with one map
         for itself and its inverse.
         """
-        terms: list[Perm] = []
 
         def term(n: int) -> Perm:
-            if n < len(terms):
-                return terms[n]
-            a, b = 2 * n, 2 * n + 1
-            moves = {a: b, b: a}
-            p = Perm._trusted(moves, moves)
-            if n == len(terms):  # kept in order: a read far ahead keeps nothing
-                terms.append(p)
-            return p
+            moves = {2 * n: 2 * n + 1, 2 * n + 1: 2 * n}
+            return Perm._trusted(moves, moves)
 
-        d = cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
-        d.scale_memo = {}
-        return d
+        return cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
 
     @classmethod
     def explicit(

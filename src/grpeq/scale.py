@@ -20,6 +20,7 @@ rule as the oracle verify_scale recomputes with.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import sys
 from bisect import bisect_left
@@ -44,10 +45,10 @@ class ShortScale(IndexError):
 
 
 class Scale:
-    """A materialized scale prefix, optionally backed by an extender that
-    returns entry n when called with n, the number of entries read so far.
-    Reads are pure: extending the memo never changes previously returned
-    values.  Views that share one extender each list only their own reads.
+    """A materialized scale prefix: loaded values, or the list an extender
+    fills through entry n when called with n.  Reads are pure: extending
+    never changes returned values.  Views that share one extender read its
+    one list, and each keeps only the count of entries it has listed.
 
     endless declares that every index has an entry, as over an infinite
     driving sequence: a read never raises, and j(n) >= n since the entries
@@ -60,7 +61,8 @@ class Scale:
         extend: Optional[Callable[[int], int]] = None,
         endless: bool = False,
     ):
-        self._values = list(values)
+        self._values = values
+        self._listed = len(values) if extend is None else 1
         self.budget = budget
         self._extend = extend
         self.endless = endless
@@ -68,19 +70,20 @@ class Scale:
     def value(self, n: int) -> int:
         if n < 0:
             raise IndexError("negative scale index")
-        while n >= len(self._values):
-            if self._extend is None:
-                raise ShortScale(
-                    f"scale has {len(self._values)} loaded entries, asked for index {n}"
-                )
-            self._values.append(self._extend(len(self._values)))
-        return self._values[n]
+        if n < self._listed:
+            return self._values[n]
+        if self._extend is None:
+            raise ShortScale(f"scale has {len(self._values)} loaded entries, asked for index {n}")
+        try:
+            return self._extend(n)
+        finally:  # an extender that raises keeps the entries before the failing one
+            self._listed = min(n + 1, len(self._values))
 
     def prefix(self, count: int) -> list[int]:
         return [self.value(n) for n in range(count)]
 
     def materialized(self) -> list[int]:
-        return list(self._values)
+        return self._values[: self._listed]
 
     @classmethod
     def from_values(cls, values, budget: int, validate: bool = True) -> "Scale":
@@ -170,20 +173,24 @@ def build_scale(d: NullSequence, budget: int, count: int) -> Scale:
     fixed m < j_n gives m + 1 <= j_n), so each moved point enters once,
     when both its term and j_n have passed it, and the mover-bound clause
     is a prefix maximum.  verify_scale rechecks against the direct rule.
-    The entries depend only on d and the budget, so over a sequence with a
-    scale_memo (the built-in one, one object per process) every scale of a
-    budget shares that budget's extension, and each entry is computed once
-    per process; the memo assumes one thread.  The returned Scale is still
-    a fresh view that lists only the entries its own command read.
+    The entries depend only on d and the budget, so over the built-in
+    sequence every scale of a budget shares one extension (_builtin), and
+    each entry is computed once per process; the memo assumes one thread.
+    Any other sequence gets a fresh extension, freed with its command.  The
+    returned Scale is a view that lists only the entries its command read.
     """
     if budget < 0:
         raise ValueError("budget must be a natural")
-    memo = {} if d.scale_memo is None else d.scale_memo  # a loaded sequence keeps none
-    if budget not in memo:
-        memo[budget] = _Extension(d, budget)
-    scale = Scale([0], budget, extend=memo[budget], endless=d.length is None)
+    ext = _builtin(budget) if d is NullSequence.transpositions() else _Extension(d, budget)
+    scale = Scale(ext.entries, budget, extend=ext, endless=d.length is None)
     scale.prefix(count)
     return scale
+
+
+@functools.cache
+def _builtin(budget: int) -> _Extension:
+    """The one extension of a budget over the built-in sequence, kept for the process."""
+    return _Extension(NullSequence.transpositions(), budget)
 
 
 def verify_scale(d: NullSequence, s: Scale, up_to: int) -> bool:

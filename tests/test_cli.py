@@ -398,9 +398,13 @@ def test_solve_odd_cauchy_exit(tmp_path, capsys):
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, "x"]]},
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, -3]]},
         {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, 1], [0, 5]]},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [7]},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[0, 1, 2]]},
+        {"kind": "explicit", "perms": [[[0, 1], [1, 0]]], "moverBound": [[True, 1]]},
     ],
     ids=["list", "c-int", "member-int", "pair-int", "string", "boolean", "list-point",
-         "perms-int", "bounds-int", "bound-string", "bound-negative", "bound-duplicate"],
+         "perms-int", "bounds-int", "bound-string", "bound-negative", "bound-duplicate",
+         "bound-item-int", "bound-triple", "bound-boolean"],
 )
 def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
     d = write_json(tmp_path / "d.json", d_obj)

@@ -7,11 +7,13 @@ first error, and must agree on the entries and on the error: its type, its
 message and the entry that raised it.
 
 Over the built-in sequence every scale of a budget shares one extension for
-the life of the process; each Scale is a view that lists only its own reads.
+the life of the process, kept in grpeq.scale; each Scale is a view of its
+entries that lists only its own reads.
 """
 
 import functools
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json
 from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null
-from grpeq.scale import _next_scale_entry, build_scale
+from grpeq.scale import _builtin, _next_scale_entry, build_scale
 from grpeq.solver import LimitAutomorphism, verify_solution
 from grpeq.words import nu_words
 
@@ -39,7 +41,9 @@ def read(entry, count):
 
 def incremental(d, budget, count):
     s = build_scale(d, budget, 1)
-    return read(lambda n, js: s.value(n), count)
+    got = read(lambda n, js: s.value(n), count)
+    assert s.materialized() == got[0]  # the view lists the entries it read
+    return got
 
 
 def reference(d, budget, count):
@@ -111,6 +115,11 @@ def test_short_explicit_prefix_fails_at_the_same_entry():
     for _ in range(2):
         with pytest.raises(ShortPrefix, match="asked for 1"):
             s.value(2)
+    # a read far ahead lists the entries computed before the failing one
+    far = build_scale(d, 1, 1)
+    with pytest.raises(ShortPrefix, match="asked for 1"):
+        far.value(4)
+    assert far.materialized() == [0, 2]
 
 
 def test_undeclared_mover_bound_fails_at_the_same_entry():
@@ -162,7 +171,29 @@ def test_builtin_views_share_entries_and_list_only_their_own_reads(budget, count
         last[v] = max(last[v], n)
     for view, n in zip(views, last):
         assert view.materialized() == want[: n + 1]
-    assert d.scale_memo[budget].entries[: max(last) + 1] == want[: max(last) + 1]
+    assert _builtin(budget).entries[: max(last) + 1] == want[: max(last) + 1]
+
+
+def test_builtin_terms_are_not_kept_and_a_view_copies_no_entries():
+    # each built-in term is built on its read and dropped after it (kept,
+    # 100 000 terms took about 35 MB); a second view of a budget reads the
+    # one extension's list, so it adds far less than a pointer per entry
+    d = NullSequence.transpositions()
+    budget, count = 7, 20000  # no other test reads this budget
+    first = build_scale(d, budget, count)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100000):
+            d.perm(n)
+        terms = tracemalloc.get_traced_memory()[0] - before
+        second = build_scale(d, budget, count)
+        view = tracemalloc.get_traced_memory()[0] - before - terms
+    finally:
+        tracemalloc.stop()
+    assert terms < 2**20
+    assert view < count
+    assert second.materialized() == first.materialized() == _builtin(budget).entries[:count]
 
 
 def test_a_loaded_sequence_is_freed_with_its_command():
@@ -174,7 +205,6 @@ def test_a_loaded_sequence_is_freed_with_its_command():
     gc.disable()
     try:
         d = null_sequence_from_json({"kind": "cauchy", "c": c})
-        assert d.scale_memo is None
         s = build_scale(d, 1, 5)
         limit = LimitAutomorphism(d, nu_words([1, 0, 2]), s)
         assert verify_solution(limit, 2, 3) == []
