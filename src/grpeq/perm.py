@@ -7,7 +7,6 @@ dyadic rational, and null sequences carry an explicit mover bound so that
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -205,7 +204,14 @@ class NullSequence:
     index k >= K(m), the k-th term fixes m.  The bound makes membership
     checks finite.  Sequences may be infinite (generated) or finite prefixes
     loaded from data.
+
+    gap_decides declares that the budget gap decides every step of a scale
+    over the sequence, so its scale is j_n = (budget + 1) * n (see
+    scale.build_scale).  Only transpositions() sets it; a copy such as
+    NullSequence(d.perm, d.mover_bound) declares nothing.
     """
+
+    gap_decides = False
 
     def __init__(
         self,
@@ -228,23 +234,27 @@ class NullSequence:
         return self._mover_bound(m)
 
     @classmethod
-    @functools.cache
     def transpositions(cls) -> "NullSequence":
-        """The built-in family: term n swaps 2n and 2n+1.  It is one object
-        per process, made on the first call; it keeps no terms, and
-        scale.build_scale keeps the scales over it.
+        """The built-in family: term n swaps 2n and 2n+1.  It keeps no
+        terms: a term is built on each read.
 
         Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.  A
         term is a transposition by construction (perm() rejects n < 0), so
         it is built trusted, as compose builds its products, with one map
         for itself and its inverse.
+
+        The sequence declares gap_decides: every term sends a point m < j_n
+        to at most m + 1 <= j_n, and its mover bound m//2 + 1 is at most
+        j_n, so both lie below the gap j_n + budget + 1, the next entry.
         """
 
         def term(n: int) -> Perm:
             moves = {2 * n: 2 * n + 1, 2 * n + 1: 2 * n}
             return Perm._trusted(moves, moves)
 
-        return cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
+        d = cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
+        d.gap_decides = True
+        return d
 
     @classmethod
     def explicit(

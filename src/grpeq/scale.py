@@ -16,11 +16,14 @@ maximum over the points j_n has passed.  Each entry therefore costs its new
 term's support and the points it newly passes, not every earlier term times
 every earlier point.  _next_scale_entry keeps the direct clause-by-clause
 rule as the oracle verify_scale recomputes with.
+
+Over a sequence that declares NullSequence.gap_decides, as the built-in
+one does, clause (c) decides every step, and build_scale returns the closed
+form j_n = (budget + 1) * n: a read at any index is one multiplication.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import sys
 from bisect import bisect_left
@@ -45,45 +48,45 @@ class ShortScale(IndexError):
 
 
 class Scale:
-    """A materialized scale prefix: loaded values, or the list an extender
-    fills through entry n when called with n.  Reads are pure: extending
-    never changes returned values.  Views that share one extender read its
-    one list, and each keeps only the count of entries it has listed.
-
-    endless declares that every index has an entry, as over an infinite
-    driving sequence: a read never raises, and j(n) >= n since the entries
-    rise from j(0) = 0."""
+    """A materialized scale prefix: loaded values, the list an extender
+    fills through entry n when called with n, or, with a step, the closed
+    form j_n = step * n.  Reads are pure: extending never changes returned
+    values.  materialized() lists the entries read so far; the closed form
+    keeps only their count, so a read far out stores nothing."""
 
     def __init__(
         self,
         values: list[int],
         budget: int,
         extend: Optional[Callable[[int], int]] = None,
-        endless: bool = False,
+        step: int = 0,
     ):
         self._values = values
-        self._listed = len(values) if extend is None else 1
         self.budget = budget
         self._extend = extend
-        self.endless = endless
+        self._step = step
+        self._listed = 1  # the closed form's count of listed entries
 
     def value(self, n: int) -> int:
         if n < 0:
             raise IndexError("negative scale index")
-        if n < self._listed:
+        if self._step:
+            if n >= self._listed:
+                self._listed = n + 1
+            return self._step * n
+        if n < len(self._values):
             return self._values[n]
         if self._extend is None:
             raise ShortScale(f"scale has {len(self._values)} loaded entries, asked for index {n}")
-        try:
-            return self._extend(n)
-        finally:  # an extender that raises keeps the entries before the failing one
-            self._listed = min(n + 1, len(self._values))
+        return self._extend(n)  # one that raises keeps the entries before the failing one
 
     def prefix(self, count: int) -> list[int]:
         return [self.value(n) for n in range(count)]
 
     def materialized(self) -> list[int]:
-        return self._values[: self._listed]
+        if self._step:
+            return [self._step * n for n in range(self._listed)]
+        return self._values[:]
 
     @classmethod
     def from_values(cls, values, budget: int, validate: bool = True) -> "Scale":
@@ -169,28 +172,22 @@ def build_scale(d: NullSequence, budget: int, count: int) -> Scale:
     """Build the scale over d with the given budget, materializing count
     entries.  Later entries are computed lazily on demand.
 
-    Entries come from _Extension: fixed points never raise the bound (a
-    fixed m < j_n gives m + 1 <= j_n), so each moved point enters once,
-    when both its term and j_n have passed it, and the mover-bound clause
-    is a prefix maximum.  verify_scale rechecks against the direct rule.
-    The entries depend only on d and the budget, so over the built-in
-    sequence every scale of a budget shares one extension (_builtin), and
-    each entry is computed once per process; the memo assumes one thread.
-    Any other sequence gets a fresh extension, freed with its command.  The
-    returned Scale is a view that lists only the entries its command read.
+    When d declares gap_decides, the scale is the closed form
+    j_n = (budget + 1) * n.  Otherwise entries come from a fresh _Extension,
+    freed with its command: fixed points never raise the bound (a fixed
+    m < j_n gives m + 1 <= j_n), so each moved point enters once, when both
+    its term and j_n have passed it, and the mover-bound clause is a prefix
+    maximum.  verify_scale rechecks against the direct rule either way.
     """
     if budget < 0:
         raise ValueError("budget must be a natural")
-    ext = _builtin(budget) if d is NullSequence.transpositions() else _Extension(d, budget)
-    scale = Scale(ext.entries, budget, extend=ext, endless=d.length is None)
+    if d.gap_decides:
+        scale = Scale([], budget, step=budget + 1)
+    else:
+        ext = _Extension(d, budget)
+        scale = Scale(ext.entries, budget, extend=ext)
     scale.prefix(count)
     return scale
-
-
-@functools.cache
-def _builtin(budget: int) -> _Extension:
-    """The one extension of a budget over the built-in sequence, kept for the process."""
-    return _Extension(NullSequence.transpositions(), budget)
 
 
 def verify_scale(d: NullSequence, s: Scale, up_to: int) -> bool:
@@ -313,44 +310,25 @@ class WordSums:
         total = j0 + 1 - n_star if n_star >= tail else lens[tail] - lens[n_star] + j0 + 1 - tail
         return max(i0 + total + 1, n_star + 1)
 
-    def _first_nontrivial(self, j0: int) -> Optional[int]:
-        """The first nontrivial index read at or after j0, or None."""
-        nontrivial = self._nontrivial
-        k = bisect_left(nontrivial, j0)
-        return nontrivial[k] if k < len(nontrivial) else None
-
     def all_trivial(self, j0: int, j1: int) -> bool:
         """Whether the words j0..j1 are all trivial: the first nontrivial
         index at or after j0 lies past j1.  No index from w.trivial_from on
         is nontrivial."""
         if j1 >= self._unread:
             self._read_through(j1)
-        t = self._first_nontrivial(j0)
-        return t is None or t > j1
+        nontrivial = self._nontrivial
+        k = bisect_left(nontrivial, j0)
+        return k == len(nontrivial) or nontrivial[k] > j1
 
     def holds(self, seg: ObeysSegment) -> bool:
         """Whether seg passes every clause make_witness checks.  Once the
-        order clauses pass it reads j(i0), then j(i1) when the triviality
-        clause needs it, so a loaded scale that ends before j(i1) raises
-        ShortScale, as make_witness does.
-
-        On an endless scale with a declared trivial tail, the first
-        nontrivial word t at or after j(i0) decides that clause: it fails
-        when i1 >= t, since j(i1) >= i1, and passes when there is no t.
-        Only i1 < t reads j(i1), so a logged i1 far past the words costs
-        no scale read."""
+        order clauses pass it reads j(i0) and j(i1), so a loaded scale that
+        ends before j(i1) raises ShortScale, as make_witness does."""
         n_star, i0, i1 = seg.n_star, seg.i0, seg.i1
         if not (0 <= seg.m_star < i0 and 0 <= n_star < i1 and i0 < i1):
             return False
-        s, tail = self.s, self.w.trivial_from
-        j0 = s.value(i0)
-        if s.endless and tail is not None:
-            self._read_through(tail)
-            t = self._first_nontrivial(j0)
-            trivial = t is None or (i1 < t and s.value(i1) < t)
-        else:
-            trivial = self.all_trivial(j0, s.value(i1))
-        return trivial and i1 >= self.least_i1(n_star, i0, j0)
+        j0 = self.s.value(i0)
+        return self.all_trivial(j0, self.s.value(i1)) and i1 >= self.least_i1(n_star, i0, j0)
 
 
 class WitnessIndex(WordSums):

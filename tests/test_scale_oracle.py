@@ -6,9 +6,9 @@ earlier point.  Both are read entry by entry until count entries or the
 first error, and must agree on the entries and on the error: its type, its
 message and the entry that raised it.
 
-Over the built-in sequence every scale of a budget shares one extension for
-the life of the process, kept in grpeq.scale; each Scale is a view of its
-entries that lists only its own reads.
+Over the built-in sequence the scale is the closed form
+j_n = (budget + 1) * n, checked against both the rule and the extension of
+an undeclared copy of the sequence; each Scale lists only its own reads.
 """
 
 import functools
@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json
 from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null
-from grpeq.scale import _builtin, _next_scale_entry, build_scale
+from grpeq.scale import _Extension, _next_scale_entry, build_scale
 from grpeq.solver import LimitAutomorphism, verify_solution
 from grpeq.words import nu_words
 
@@ -50,6 +50,11 @@ def reference(d, budget, count):
     return read(lambda n, js: _next_scale_entry(d, budget, js) if n else 0, count)
 
 
+@functools.cache
+def builtin_entries(budget):
+    return reference(NullSequence.transpositions(), budget, 129)[0]
+
+
 def cycles(width):
     """A random cycle on distinct points below width."""
     return st.lists(st.integers(0, width - 1), min_size=2, max_size=6, unique=True).map(
@@ -61,8 +66,8 @@ def cycles(width):
 def test_builtin_family_matches_reference(budget):
     d = NullSequence.transpositions()
     got = incremental(d, budget, 120)
-    assert got == reference(d, budget, 120)
-    # the same terms without the process memo: a fresh extension from j_0
+    assert got == (builtin_entries(budget)[:120], None, None)
+    # the same terms without the closed form: an extension from j_0
     assert incremental(NullSequence(d.perm, d.mover_bound), budget, 120) == got
     assert got[0] == build_scale(d, budget, 120).prefix(120)
     # a late read first, then an early one
@@ -148,21 +153,16 @@ def test_out_of_order_reads_match_prefix(c, order):
     assert [got[n] for n in range(41)] == build_scale(d, 1, 41).prefix(41)
 
 
-@functools.cache
-def builtin_entries(budget):
-    return reference(NullSequence.transpositions(), budget, 41)[0]
-
-
 @ORACLE
 @given(
-    budget=st.integers(0, 3),
-    counts=st.lists(st.integers(0, 40), min_size=1, max_size=4),
-    reads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=30),
+    budget=st.integers(0, 7),
+    counts=st.lists(st.integers(0, 128), min_size=1, max_size=4),
+    reads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 128)), max_size=30),
 )
-def test_builtin_views_share_entries_and_list_only_their_own_reads(budget, counts, reads):
+def test_builtin_views_match_the_rule_and_list_only_their_own_reads(budget, counts, reads):
     d = NullSequence.transpositions()
-    assert d is NullSequence.transpositions()
     want = builtin_entries(budget)
+    assert want == [(budget + 1) * n for n in range(129)]
     views = [build_scale(d, budget, count) for count in counts]
     last = [max(count - 1, 0) for count in counts]  # the largest index each view read
     for v, n in reads:
@@ -171,35 +171,46 @@ def test_builtin_views_share_entries_and_list_only_their_own_reads(budget, count
         last[v] = max(last[v], n)
     for view, n in zip(views, last):
         assert view.materialized() == want[: n + 1]
-    assert _builtin(budget).entries[: max(last) + 1] == want[: max(last) + 1]
+
+
+@ORACLE
+@given(
+    budget=st.integers(0, 10**4),
+    reads=st.lists(st.integers(0, 12), min_size=1, max_size=20),
+)
+def test_builtin_closed_form_matches_the_extension_of_an_undeclared_copy(budget, reads):
+    d = NullSequence.transpositions()
+    copy = NullSequence(d.perm, d.mover_bound)
+    assert d.gap_decides and not copy.gap_decides
+    s, ext = build_scale(d, budget, 1), _Extension(copy, budget)
+    for n in reads:
+        assert s.value(n) == ext(n)
+    assert s.materialized() == ext.entries[: max(reads) + 1]
 
 
 def test_builtin_terms_are_not_kept_and_a_view_copies_no_entries():
     # each built-in term is built on its read and dropped after it (kept,
-    # 100 000 terms took about 35 MB); a second view of a budget reads the
-    # one extension's list, so it adds far less than a pointer per entry
+    # 100 000 terms took about 35 MB); a view of the closed form keeps the
+    # count of entries it listed, not the entries
     d = NullSequence.transpositions()
-    budget, count = 7, 20000  # no other test reads this budget
-    first = build_scale(d, budget, count)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for n in range(100000):
             d.perm(n)
         terms = tracemalloc.get_traced_memory()[0] - before
-        second = build_scale(d, budget, count)
-        view = tracemalloc.get_traced_memory()[0] - before - terms
+        view = build_scale(d, 7, 1)
+        assert view.value(10**6) == 8 * 10**6
+        kept = tracemalloc.get_traced_memory()[0] - before - terms
     finally:
         tracemalloc.stop()
     assert terms < 2**20
-    assert view < count
-    assert second.materialized() == first.materialized() == _builtin(budget).entries[:count]
+    assert kept < 2**10
 
 
 def test_a_loaded_sequence_is_freed_with_its_command():
-    # only the built-in sequence keeps scales; nothing points back at a
-    # loaded one, so with the cycle collector off it dies with its last
-    # reference
+    # nothing points back at a loaded sequence, so with the cycle collector
+    # off it dies with its last reference
     c = [[[n, n + 1], [n + 1, n]] if k == 0 else [[n + 2, n + 3], [n + 3, n + 2]]
          for n in range(0, 40, 2) for k in range(2)]
     gc.disable()
