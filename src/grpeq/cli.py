@@ -80,11 +80,11 @@ def _sufficient_depth(exc: NotObeying, w, s, depth: int, up_to: int) -> NotObeyi
     the largest i1 of the certificate on an index with no bound, a search
     that ends for a list prefix.  Each pair's least witness has the least
     i1 of all its witnesses, since the least i1 does not decrease with i0.
-    When that search runs past the driving terms, exc is returned as it
-    is."""
+    When that search runs past the driving terms, or stops at sys.maxsize
+    itself (a huge exponent), exc is returned as it is."""
     try:
         rows = obeys_certificate(WitnessIndex(w, s, sys.maxsize), up_to)
-    except (ShortPrefix, NoBound):
+    except (ShortPrefix, NoBound, NotObeying):
         return exc
     suffices = max(i1 for ends in rows for _, i1 in ends)
     return NotObeying(

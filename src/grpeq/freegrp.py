@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .scale import ObeysSegment, Scale, ShortScale, WitnessIndex, WordSums
@@ -73,21 +72,45 @@ class FreeElem:
         return sum(abs(e) for _, e in self.letters)
 
     def inverse(self) -> "FreeElem":
-        return FreeElem(tuple((i, -e) for i, e in reversed(self.letters)))
+        return FreeElem(_inverse(self.letters))
 
     def __mul__(self, other: "FreeElem") -> "FreeElem":
-        return FreeElem.from_syllables(self.letters + other.letters)
+        """The reduced product: both words are reduced, so only the
+        syllables where they meet can merge or cancel (from_syllables
+        reduces an arbitrary syllable list)."""
+        return FreeElem(_product(self.letters, other.letters))
 
     def __pow__(self, n: int) -> "FreeElem":
         base = self if n >= 0 else self.inverse()
         return FreeElem.from_syllables(base.letters * abs(n))
 
 
-def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
-    """Split g as u * core * u^-1 with the core cyclically reduced and the
-    product reduced as written.  The split is unique in a free group.  End
-    syllables that cancel move to u by the shorter one's whole exponent."""
-    syl = list(g.letters)
+Syllables = tuple[tuple[int, int], ...]
+
+
+def _inverse(a: Syllables) -> Syllables:
+    return tuple([(i, -e) for i, e in reversed(a)])
+
+
+def _product(a: Syllables, b: Syllables) -> Syllables:
+    """The reduced product of two reduced words, merged at the seam: end
+    syllables on one generator cancel pair by pair until a pair is on two
+    generators or leaves a nonzero sum."""
+    i, j = len(a), 0
+    while i and j < len(b):
+        (x, e), (y, f) = a[i - 1], b[j]
+        if x != y:
+            break
+        if e + f:
+            return a[: i - 1] + ((x, e + f),) + b[j + 1 :]
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def _cyclic_split(syl: Syllables) -> tuple[Syllables, Syllables]:
+    """The syllables of u and core in cyclic_reduce."""
+    syl = list(syl)
     lo, hi = 0, len(syl) - 1
     conj = []
     while lo < hi:
@@ -99,42 +122,61 @@ def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
         syl[lo], syl[hi] = (i, a - k), (i, b + k)
         lo += syl[lo][1] == 0
         hi -= syl[hi][1] == 0
-    return FreeElem(tuple(conj)), FreeElem(tuple(syl[lo : hi + 1]))
+    return tuple(conj), tuple(syl[lo : hi + 1])
 
 
-def _power_form(g: FreeElem) -> tuple[FreeElem, FreeElem, int]:
-    """Split g as u * p**m * u^-1 with p cyclically reduced and not a proper
-    power; m = 0 exactly for the identity.
+def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
+    """Split g as u * core * u^-1 with the core cyclically reduced and the
+    product reduced as written.  The split is unique in a free group.  End
+    syllables that cancel move to u by the shorter one's whole exponent."""
+    u, core = _cyclic_split(g.letters)
+    return FreeElem(u), FreeElem(core)
+
+
+def _power_form(syl: Syllables) -> tuple[Syllables, Syllables, int]:
+    """Split the word syl as u * p**m * u^-1, all as syllables, with p
+    cyclically reduced and not a proper power; m = 0 and p = () exactly
+    for the identity.
 
     When the core's ends share a generator, and so a sign, conjugating by
     the first syllable merges it into the last.  Then no two cyclically
     adjacent syllables share a generator, and p is the shortest syllable
-    period of the core.
+    period of the core.  The merge keeps u reduced: had u's last syllable,
+    which the split moved from an end pair, been on that generator, one of
+    the pair would be left at one end of the core and not at the other.
     """
-    u, core = cyclic_reduce(g)
-    syl = core.letters
-    if len(syl) <= 1:  # a power of one generator, or the identity: z1^0
-        i, e = syl[0] if syl else (1, 0)
-        return u, FreeElem.gen(i, -1 if e < 0 else 1), abs(e)
+    u, syl = _cyclic_split(syl)
+    if not syl:
+        return u, (), 0
+    if len(syl) == 1:  # a power of one generator
+        ((i, e),) = syl
+        return u, ((i, -1 if e < 0 else 1),), abs(e)
     (i, e), (j, f) = syl[0], syl[-1]
     if i == j:
         syl = syl[1:-1] + ((i, e + f),)
-        u = u * FreeElem.gen(i, e)
+        u = u + ((i, e),)
     n = len(syl)
-    d = next(d for d in range(1, n + 1) if n % d == 0 and syl[d:] == syl[:-d])
-    return u, FreeElem(syl[:d]), n // d
+    for d in range(1, n):
+        if n % d == 0 and syl[d:] == syl[:-d]:
+            return u, syl[:d], n // d
+    return u, syl, 1
 
 
 def has_root(g: FreeElem, t: int) -> Optional[FreeElem]:
     """The unique t-th root of g when it exists, else None.  Centralizers
     in a free group are cyclic, so g = u p^m u^-1 with p not a proper power
-    has one exactly when t divides m, namely u p^(m/t) u^-1."""
+    has one exactly when t divides m, namely u p^(m/t) u^-1.  Only that
+    root is built as a FreeElem."""
     if t < 2:
         raise ValueError("root exponents start at 2")
-    u, p, m = _power_form(g)
+    u, p, m = _power_form(g.letters)
     if m % t:
         return None
-    return u * p ** (m // t) * u.inverse()
+    k = m // t
+    if len(p) == 1:  # p^k on one generator is one syllable, not k of them
+        ((i, e),) = p
+        p, k = ((i, e * k),), 1
+    return FreeElem(_product(_product(u, p * k), _inverse(u)))
 
 
 def no_root_exponent(g: FreeElem) -> int:
@@ -142,7 +184,7 @@ def no_root_exponent(g: FreeElem) -> int:
     dividing m in g = u p^m u^-1, so at most m + 1 <= length(g) + 1."""
     if g.is_identity:
         raise IdentityInput("the identity has roots of every order")
-    m = _power_form(g)[2]
+    m = _power_form(g.letters)[2]
     return next(t for t in range(2, m + 2) if m % t)
 
 
@@ -207,15 +249,22 @@ def enumerate_h(z: SubBasis, n: int) -> FreeElem:
     return next(islice(h_elements(z), n, None))
 
 
+def _generator(n: int) -> FreeElem:
+    return FreeElem.gen(n + 1)
+
+
+_generator.never_identity = True
+
+
 def ascending_generators() -> Callable[[int], FreeElem]:
     """The driving sequence whose n-th term is the generator z_{n+1}:
     pairwise distinct and never the identity.
 
-    Each call returns a fresh sequence that builds each term once, so a
-    command that hands one to all its chains builds every z_{n+1} once.
-    A negative n raises every time: an exception is not remembered.
+    It declares the latter with the attribute never_identity, so a chain
+    reads it only at its nonzero entries (see _fold).  It keeps no terms:
+    each read builds its term afresh, and a negative n raises.
     """
-    return cache(lambda n: FreeElem.gen(n + 1))
+    return _generator
 
 
 DSeq = Callable[[int], FreeElem]
@@ -226,6 +275,11 @@ def _d_at(d: DSeq, n: int) -> FreeElem:
     if term.is_identity:
         raise BadDSeq(f"driving term {n} is the identity")
     return term
+
+
+def _quotient(term: FreeElem, b: FreeElem) -> FreeElem:
+    """term^-1 b, built as one FreeElem."""
+    return FreeElem(_product(_inverse(term.letters), b.letters))
 
 
 @dataclass(frozen=True)
@@ -249,7 +303,7 @@ class ChainState:
         return self.residual is not None
 
 
-def _fold(residual: FreeElem, position: int, d: DSeq, entries: Iterable[int]) -> ChainState:
+def _fold(residual: FreeElem, position: int, d: DSeq, entries: Sequence[int]) -> ChainState:
     """Continue a live chain, whose value at position is residual, through
     entries, which sit at that position onward.
 
@@ -257,20 +311,29 @@ def _fold(residual: FreeElem, position: int, d: DSeq, entries: Iterable[int]) ->
     and then rejects a negative exponent.  Exponent 0 copies the residual;
     exponent 1 pins the next value to d^-1 b outright; exponent t >= 2
     demands its t-th root, and the chain dies where none exists.
+
+    A sequence that declares never_identity has nothing to check under a
+    zero entry, so only the nonzero entries are visited, found by compress
+    at C speed, and a term is fetched only there: a zero run costs no
+    Python step and builds nothing.  Any other sequence is read at every
+    entry, so an identity term under a zero entry still raises.
     """
-    for t in entries:
-        term = _d_at(d, position)
+    declared = getattr(d, "never_identity", False)
+    steps = enumerate(entries, position)
+    if declared:
+        steps = compress(steps, entries)
+    for n, t in steps:
+        term = d(n) if declared else _d_at(d, n)
         if t < 0:
             raise ValueError("exponent entries must be naturals")
         if t:
-            residual = term.inverse() * residual
+            residual = _quotient(term, residual)
             if t > 1:
                 root = has_root(residual, t)
                 if root is None:
-                    return ChainState(position, None, NoRoot(t))
+                    return ChainState(n, None, NoRoot(t))
                 residual = root
-        position += 1
-    return ChainState(position, residual)
+    return ChainState(position + len(entries), residual)
 
 
 def chain_run(a: FreeElem, d: DSeq, entries: Sequence[int]) -> ChainState:
@@ -324,10 +387,10 @@ def block(
         return prefix
     n, residual = st.position, st.residual
     tail = []
-    c = _d_at(d, n).inverse() * residual
+    c = _quotient(_d_at(d, n), residual)
     if c.is_identity:
         tail.append(0)
-        c = _d_at(d, n + 1).inverse() * residual
+        c = _quotient(_d_at(d, n + 1), residual)
         if c.is_identity:
             raise BadDSeq(f"driving terms {n} and {n + 1} coincide")
     t = no_root_exponent(c)

@@ -5,7 +5,9 @@ ChainState at the end; block checks its new entries by continuing the fold
 from the live end state.  The reference below applies the step rule one
 ChainState at a time from b_0: fetch the driving term (the identity raises
 BadDSeq), reject a negative exponent, then copy on 0, pin on 1 and take the
-t-th root on t >= 2, dying where there is none.
+t-th root on t >= 2, dying where there is none.  The reference reads every
+sequence at every entry; chain_run must end the same way and read a
+sequence that declares never_identity only at the nonzero ones.
 """
 
 from itertools import islice
@@ -80,21 +82,34 @@ def prefixes(draw, negative=False):
     return entries
 
 
+def logged(d, reads, declared):
+    """d, recording each index read, and declaring never_identity if asked."""
+    def seq(n):
+        reads.append(n)
+        return d(n)
+
+    if declared:
+        seq.never_identity = True
+    return seq
+
+
 @st.composite
 def drivers(draw, basis):
     """The ascending generators; powers of z1, under which roots often exist;
     a short cycle of elements of the basis, so terms repeat; or the
-    generators with the identity at one position."""
+    generators with the identity at one position.  Each of the first three
+    is declared never_identity or left bare at random; the ascending
+    generators are declared as ascending_generators() builds them."""
     kind = draw(st.sampled_from(["ascending", "powers", "repeated", "identity"]))
     if kind == "ascending":
-        return ASC
+        return ASC if draw(st.booleans()) else lambda n: FreeElem.gen(n + 1)
+    if kind == "identity":
+        k = draw(st.integers(0, 60))
+        return lambda n: FreeElem.identity() if n == k else FreeElem.gen(n + 1)
     if kind == "powers":
-        return lambda n: FreeElem.gen(1, n + 1)
-    if kind == "repeated":
-        pool = draw(st.lists(st.sampled_from(ELEMENTS[basis][1:40]), min_size=1, max_size=3))
-        return lambda n: pool[n % len(pool)]
-    k = draw(st.integers(0, 60))
-    return lambda n: FreeElem.identity() if n == k else FreeElem.gen(n + 1)
+        return logged(lambda n: FreeElem.gen(1, n + 1), [], draw(st.booleans()))
+    pool = draw(st.lists(st.sampled_from(ELEMENTS[basis][1:40]), min_size=1, max_size=3))
+    return logged(lambda n: pool[n % len(pool)], [], draw(st.booleans()))
 
 
 @st.composite
@@ -108,7 +123,13 @@ def cases(draw):
 @given(cases())
 def test_chain_run_matches_the_stepwise_reference(case):
     a, d, entries = case
-    assert outcome(lambda: chain_run(a, d, entries)) == outcome(lambda: reference_run(a, d, entries))
+    declared = getattr(d, "never_identity", False)
+    reads, ref_reads = [], []
+    got = outcome(lambda: chain_run(a, logged(d, reads, declared), entries))
+    assert got == outcome(lambda: reference_run(a, logged(d, ref_reads, False), entries))
+    # the reference reads each entry's term up to the one that ended it; a
+    # declared sequence is read only where that entry is nonzero
+    assert reads == ([n for n in ref_reads if entries[n]] if declared else ref_reads)
 
 
 @ORACLE
@@ -138,12 +159,14 @@ def test_block_kills_the_chain_from_scratch(case, collapse):
 
 def test_the_samples_reach_every_outcome():
     # the cases above include chains that live through a root, die at once
-    # or later, and both raising rules, so no branch of the fold goes unseen
+    # or later, and both raising rules, over declared and bare sequences,
+    # so no branch of the fold goes unseen
     seen = set()
 
     @ORACLE
     @given(cases())
     def collect(case):
+        seen.add("declared" if getattr(case[1], "never_identity", False) else "bare")
         got, exc, _ = outcome(lambda: reference_run(*case))
         if exc is not None:
             seen.add(exc)
@@ -153,4 +176,5 @@ def test_the_samples_reach_every_outcome():
             seen.add("dead late" if got.position else "dead at once")
 
     collect()
-    assert {BadDSeq, ValueError, "alive", "rooted", "dead late", "dead at once"} <= seen
+    assert {BadDSeq, ValueError, "alive", "rooted", "dead late", "dead at once",
+            "declared", "bare"} <= seen

@@ -145,6 +145,15 @@ def test_solve_depth_hint_stops_at_the_driving_prefix(tmp_path, capsys):
     assert err == "error: no witness for pair (0, 0)\n"
 
 
+def test_solve_depth_hint_keeps_the_error_when_the_rerun_stops(tmp_path, capsys):
+    # the unbounded rerun meets the exponent 10**30 and stops at sys.maxsize
+    # on a later pair; the bounded search's pair is the one reported
+    nu = write_json(tmp_path / "nu.json", {"prefix": [0] * 40 + [10**30]})
+    code, out, err = run(capsys, ["solve", "--nu", nu, "--window", "1,6", "--depth", "6"])
+    assert (code, out) == (2, "")
+    assert err == "error: no witness for pair (0, 1)\n"
+
+
 def test_solve_bad_dseq_exit(tmp_path, capsys):
     pair = [[0, 1], [1, 0]]
     d = write_json(tmp_path / "d.json", {"kind": "cauchy", "c": [pair, pair]})

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -247,13 +248,31 @@ def test_enumeration_injective_and_graded():
 def test_ascending_generators():
     assert ASC(0) == Z1
     assert ASC(4) == FreeElem.gen(5)
-    # each term is built once per sequence
     asc = ascending_generators()
-    assert asc(7) is asc(7) == FreeElem.gen(8)
-    assert ascending_generators()(7) is not asc(7)  # each call starts afresh
-    for _ in range(2):  # a raising term is not remembered
+    assert asc(7) == FreeElem.gen(8)
+    assert ascending_generators()(7) is not asc(7)  # each read builds its term
+    assert asc.never_identity  # so a chain reads it only at nonzero entries
+    for _ in range(2):  # a negative index raises on every read
         with pytest.raises(ValueError, match="generator indices start at 1"):
             asc(-1)
+
+
+def test_a_fold_over_zero_runs_keeps_no_terms():
+    # over 200 000 zeros the declared sequence is read once, at the one
+    # nonzero entry; a bare copy over 20 000 is read at every entry, but
+    # keeps none of its terms (a cache of them took about 6 MB). Neither
+    # fold grows by 1 MiB at its peak
+    for d, zeros in ((ASC, 200_000), (lambda n: ASC(n), 20_000)):
+        entries = [0] * zeros + [1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            st = chain_run(Z1, d, entries)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert st == ChainState(zeros + 1, FreeElem.gen(zeros + 1).inverse() * Z1)
+        assert grown < 2**20
 
 
 def drive(*terms):

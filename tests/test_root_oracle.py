@@ -96,6 +96,7 @@ def test_roots_match_the_unit_letter_reference(case):
     for t in range(2, 8):
         root = has_root(g, t)
         assert (None if root is None else units(root)) == ref_has_root(letters, t)
+        assert root is None or is_reduced(root)
         assert has_root(r**t, t) == r
     if not g.is_identity:
         assert no_root_exponent(g) == ref_no_root_exponent(letters)
@@ -112,6 +113,29 @@ def test_the_samples_are_long():
     collect()
     # criterion 6's table stops at length 6
     assert sum(n > 40 for n in lengths) > len(lengths) // 2
+
+
+@st.composite
+def seams(draw):
+    """(a, b) where b starts by undoing a's last k syllables, the deepest
+    of them perhaps only in part, and then goes on as another word, so the
+    product merges or cancels through several syllable pairs."""
+    gens = draw(st.integers(1, 4))
+    a, c = draw(words(gens, 5)), draw(words(gens, 3))
+    undo = list(a.inverse().letters[: draw(st.integers(0, len(a.letters)))])
+    if undo and draw(st.booleans()):
+        i, e = undo[-1]
+        undo[-1] = (i, e + draw(st.integers(-3, 3)))
+    return a, FreeElem.from_syllables(undo + list(c.letters))
+
+
+@settings(ORACLE, max_examples=150)
+@given(seams())
+def test_the_seam_product_matches_a_full_reduction(case):
+    a, b = case
+    product = a * b
+    assert product == FreeElem.from_syllables(a.letters + b.letters)
+    assert is_reduced(product)
 
 
 @ORACLE
