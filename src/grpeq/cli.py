@@ -77,16 +77,22 @@ def cmd_scale(args) -> int:
 
 def _sufficient_depth(exc: NotObeying, w, s, depth: int, up_to: int) -> NotObeying:
     """exc, extended with the least --depth that certifies the whole window:
-    the largest i1 of the certificate on an index with no bound, a search
-    that ends for a list prefix.  Each pair's least witness has the least
-    i1 of all its witnesses, since the least i1 does not decrease with i0.
-    When that search runs past the driving terms, or stops at sys.maxsize
-    itself (a huge exponent), exc is returned as it is."""
+    the largest i1 of the window's least witnesses on an index with no
+    bound, a search that ends for a list prefix.  Each pair's least witness
+    has the least i1 of all its witnesses, since the least i1 does not
+    decrease with i0.  Nor does it decrease with m* along a row, so only
+    the window's last column is scanned.  That scan reads its row's largest
+    j(i0) and j(i1), so it runs past the driving terms, or stops at
+    sys.maxsize itself (a huge exponent), exactly when the whole window's
+    search would; exc is then returned as it is."""
+    index = WitnessIndex(w, s, sys.maxsize)
     try:
-        rows = obeys_certificate(WitnessIndex(w, s, sys.maxsize), up_to)
-    except (ShortPrefix, NoBound, NotObeying):
+        last = [index.ends(n_star, up_to, up_to) for n_star in range(up_to)]
+    except (ShortPrefix, NoBound):
         return exc
-    suffices = max(i1 for ends in rows for _, i1 in ends)
+    if not all(last):
+        return exc
+    suffices = max(ends[0][1] for ends in last)
     return NotObeying(
         exc.n_star,
         exc.m_star,
@@ -105,9 +111,8 @@ def _solve_report(d, nu_prefix, budget, window, depth):
         certificate = obeys_certificate(limit.index, up_to)
     except NotObeying as exc:
         raise _sufficient_depth(exc, w, s, depth, up_to) from None
-    b_star = [
-        [n, [[m, limit.apply(n, m)] for m in range(mw)]] for n in range(nw)
-    ]
+    # limit keeps the rows it reads, and the equation check reads them back
+    b_star = load.BStar(limit.row(n, mw) for n in range(nw))
     problems = verify_solution(limit, nw, mw)
     report = {
         "j": s.materialized(),

@@ -235,14 +235,21 @@ class Certificate(list):
     its pairs' records in row-major order, without an object per pair."""
 
 
+class BStar(list):
+    """The limit rows on a window: row n holds the images of 0, 1, ...
+    under b*_n.  dump writes it as [[n, [[m, image], ...]], ...], without
+    a list per pair."""
+
+
 def dump(obj) -> str:
     """The canonical report text: byte for byte what
     json.dumps(obj, indent=2, sort_keys=True) gives, plus a newline, for
     reports built from int, str, bool, None, list, dict with str keys and
-    records (log segments, NuPrefix, Certificate).  Anything else raises
-    TypeError.  It takes about half the time of json.dumps, whose indent
-    runs the pure-Python encoder: the int and str items of a container
-    are written inline, and a segment or a pair through its template."""
+    records (log segments, NuPrefix, Certificate, BStar).  Anything else
+    raises TypeError.  It takes about half the time of json.dumps, whose
+    indent runs the pure-Python encoder: the int and str items of a
+    container are written inline, and a segment or a pair through its
+    template."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -303,6 +310,15 @@ def _write(obj, newline: str, out: list) -> None:
         pairs = [template % (i0, i1, m, n)  # in sorted field order: i0, i1, mStar, nStar
                  for n, ends in enumerate(obj) for m, (i0, i1) in enumerate(ends)]
         out.append("[" + inner + ("," + inner).join(pairs) + newline + "]" if pairs else "[]")
+    elif type(obj) is BStar:
+        at = [newline + "  " * depth for depth in range(5)]  # the indent of each level
+        pair = ("[" + at[4] + "%d," + at[4] + "%d" + at[3] + "]").__mod__
+        rows = []
+        for n, images in enumerate(obj):
+            pairs = ("," + at[3]).join(map(pair, enumerate(images)))
+            pairs = "[" + at[3] + pairs + at[2] + "]" if images else "[]"
+            rows.append(f"[{at[2]}{n},{at[2]}{pairs}{at[1]}]")
+        out.append("[" + at[1] + ("," + at[1]).join(rows) + newline + "]" if rows else "[]")
     elif obj is None or isinstance(obj, (str, int)):
         out.append(json.dumps(obj))
     else:

@@ -11,6 +11,9 @@ read off a single finite table.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .perm import IDENTITY, NullSequence, Perm, Structure, compose
 from .scale import ObeysSegment, Scale, WitnessIndex
 from .words import GroupOps, WordSeq, evaluate
@@ -64,19 +67,24 @@ def stabilization_bound(wit: ObeysSegment, s: Scale) -> int:
 
 
 class LimitAutomorphism:
-    """Pointwise access to the limit rows b*_n.
+    """Access to the limit rows b*_n, a point or a row at a time.
 
-    A query (n, m) takes the least witness for the pair from self.index,
-    reads the image and preimage off the table at the witness's
-    stabilization bound, and memoizes both.  When the words declare a
-    trivial tail (w.trivial_from), a bound past it is read at trivial_from
-    instead: every truncation from there on has the same rows, so the
-    queries share one table per effective depth.  table(k) itself stays
-    the real truncation at k.  The index reads each word once and keeps
-    each row's scan; a caller that certifies pairs first through
-    obeys_certificate(limit.index, ...) leaves each row's scan in the index,
-    so a query on a certified pair reads its witness off the row with no
-    new scale read.  The memos are optimizations only: cached and
+    The least witness of a pair (n, m) in self.index gives its
+    stabilization bound s.value(i1 + 1); table(k).row(n) at that depth
+    holds the limit's value at m.  When the words declare a trivial tail
+    (w.trivial_from), a bound past it is read at trivial_from instead:
+    every truncation from there on has the same rows, so the reads share
+    one table per effective depth.  table(k) itself stays the real
+    truncation at k.
+
+    apply(n, m) and inverse_apply(n, m) read one point and keep nothing.
+    row(n, count) reads the images of 0..count-1 off one scan of the
+    index's row n and one table row per distinct depth, and keeps the
+    row, so a later read of it (the equation check's) costs nothing.  A
+    caller that certifies pairs first through
+    obeys_certificate(limit.index, ...) leaves each row's scan in the
+    index, so a read on a certified pair reads its witness off the row
+    with no new scale read.  The memos are optimizations only: cached and
     recomputed answers must coincide.
     """
 
@@ -86,8 +94,7 @@ class LimitAutomorphism:
         self.s = s
         self.index = WitnessIndex(w, s, search_bound)
         self._tables: dict[int, ApproxTable] = {}
-        # (n, m) -> (image, preimage) of m under row n
-        self._points: dict[tuple[int, int], tuple[int, int]] = {}
+        self._rows: dict[int, list[int]] = {}  # n -> images of 0, 1, ... under row n
 
     def witness(self, n: int, m: int) -> ObeysSegment:
         wit = self.index.find(n, m)
@@ -100,52 +107,97 @@ class LimitAutomorphism:
             self._tables[k] = approx(self.d, self.w, k)
         return self._tables[k]
 
-    def _point(self, n: int, m: int) -> tuple[int, int]:
-        key = (n, m)
-        if key not in self._points:
-            k = stabilization_bound(self.witness(n, m), self.s)
-            if self.w.trivial_from is not None:
-                k = min(k, self.w.trivial_from)
-            row = self.table(k).row(n)
-            self._points[key] = (row.apply(m), row.inverse_apply(m))
-        return self._points[key]
+    def _depth(self, i1: int) -> int:
+        """The depth a pair with witness end i1 is read at: its
+        stabilization bound, capped at the trivial tail."""
+        k = self.s.value(i1 + 1)
+        tail = self.w.trivial_from
+        return k if tail is None else min(k, tail)
+
+    def _row_at(self, n: int, m: int) -> Perm:
+        """The table row that holds b*_n at m."""
+        return self.table(self._depth(self.witness(n, m).i1)).row(n)
 
     def apply(self, n: int, m: int) -> int:
-        return self._point(n, m)[0]
+        return self._row_at(n, m).apply(m)
 
     def inverse_apply(self, n: int, m: int) -> int:
-        return self._point(n, m)[1]
+        return self._row_at(n, m).inverse_apply(m)
+
+    def row(self, n: int, count: int) -> list[int]:
+        """[apply(n, m) for m in range(count)], raising what that raises.
+
+        The least witnesses' i1 do not decrease with m, so the pairs of
+        one i1 form a run, and each run reads one bound and one table row,
+        in the order apply would.  The row ends in WitnessNotFound at the
+        first pair the index leaves without a witness.  A scan of the index
+        that raises is repeated point by point, so that an earlier pair's
+        failing table read raises first, as under apply.  The returned list
+        is the kept one: do not change it."""
+        images = self._rows.get(n)
+        if images is None or len(images) < count:
+            try:
+                ends = self.index.ends(n, 1, count)
+            except (ValueError, IndexError):
+                for m in range(count):
+                    self.apply(n, m)
+                raise
+            images = []
+            for i1, run in groupby(ends, itemgetter(1)):
+                points = range(len(images), len(images) + len(list(run)))
+                images += self.table(self._depth(i1)).row(n).images(points)
+            if len(ends) < count:
+                raise WitnessNotFound(n, len(ends))
+            self._rows[n] = images
+        return images if len(images) == count else images[:count]
 
 
-def _apply_word_pointwise(limit: LimitAutomorphism, n: int, m: int) -> int:
-    """Evaluate row n's right side x1 y1^t at the point m, chasing each
-    unit letter: the lazy limit row n+1 t times (once for the trivial word
-    y1), then the concrete parameter term d_{n+1} when t > 0."""
+def _equation_row(limit: LimitAutomorphism, n: int, m_window: int) -> list[int]:
+    """Row n's right side x1 y1^t at each point of the window, with
+    x1 = d_{n+1} and y1 = the limit row n+1: each point is chased t times
+    (once for the trivial word y1) through row n+1, then through d_{n+1}
+    when t > 0.  Row n+1 is read on the window by limit.row; a point the
+    chase takes to m_window or beyond is read through limit.apply."""
     t = limit.w.gen(n)
-    current = m
-    for _ in range(max(t, 1)):
-        current = limit.apply(n + 1, current)
-    return limit.d.perm(n + 1).apply(current) if t else current
+    ahead = limit.row(n + 1, m_window)
+    if not t:
+        return ahead
+    d, want = limit.d.perm(n + 1), []
+    for x in ahead:  # each chase's first step
+        for _ in range(t - 1):
+            x = ahead[x] if x < m_window else limit.apply(n + 1, x)
+        want.append(d.apply(x))
+    return want
 
 
 def verify_solution(limit: LimitAutomorphism, n_window: int, m_window: int) -> list[dict]:
-    """Compare every limit value on the window against the pointwise
-    evaluation of its defining equation.  Returns the discrepancy list,
-    empty when the window checks out."""
-    problems = []
+    """Compare each limit row on the window, read by limit.row, with its
+    defining equation chased through row n+1 (see _equation_row).
+    Returns the discrepancy list in row-major order, empty when the
+    window checks out.
+
+    It reads row n, then row n+1, then the points the chase takes out of
+    the window.  On a fresh limit a read error may thus name another pair
+    than one apply per point would.  A solve reads the certificate and the
+    window's rows first, as cli does; the check then reads those rows back
+    and raises what per-point reads in the chase's order raise, which
+    tests/test_solver_oracle.py checks against such a chase."""
+    problems: list[dict] = []
+    if not m_window:  # no point to read, so nothing is read
+        return problems
     for n in range(n_window):
-        for m in range(m_window):
-            got = limit.apply(n, m)
-            want = _apply_word_pointwise(limit, n, m)
-            if got != want:
-                problems.append({"n": n, "m": m, "limit": got, "equation": want})
+        got = limit.row(n, m_window)
+        want = _equation_row(limit, n, m_window)
+        if got != want:
+            problems += [{"n": n, "m": m, "limit": g, "equation": e}
+                         for m, (g, e) in enumerate(zip(got, want)) if g != e]
     return problems
 
 
 def closure_check(limit: LimitAutomorphism, structure: Structure, window: int) -> bool:
-    """Each limit row, read pointwise on the window, passes the structure's
-    window test."""
+    """Each limit row passes the structure's window test, which reads the
+    row through limit.row on its first point read."""
     for n in range(window):
-        if not structure.check_window(lambda m: limit.apply(n, m), window):
+        if not structure.check_window(lambda m: limit.row(n, window)[m], window):
             return False
     return True

@@ -14,6 +14,7 @@ from grpeq import cli
 from grpeq.cli import _enumeration, main
 from grpeq.freegrp import BlockSegment, NuPrefix, SubBasis, h_elements
 from grpeq.load import (
+    BStar,
     Certificate,
     dump,
     nu_from_json,
@@ -861,6 +862,11 @@ def same(record):
     return record
 
 
+def limit_rows(rows):
+    """The limit rows as a report spelled them out: [[n, [[m, image], ...]], ...]."""
+    return [[n, [[m, image] for m, image in enumerate(images)]] for n, images in enumerate(rows)]
+
+
 # each record kind: (what it is drawn from, what dump is given for it, what
 # the written JSON value reads back as, and what that must equal)
 RECORD_KINDS = {
@@ -871,6 +877,7 @@ RECORD_KINDS = {
     ),
     "nu": (st.lists(INDICES, max_size=6), nu_record, nu_from_json, same),
     "certificate": (ROWS, Certificate, read_pairs, pairs),
+    "bstar": (st.lists(st.lists(INDICES, max_size=4), max_size=4), BStar, same, limit_rows),
 }
 RECORDS = st.one_of(
     *(st.tuples(st.just(kind), strategy) for kind, (strategy, *_) in RECORD_KINDS.items())
@@ -919,6 +926,9 @@ def nest(record, depth, other):
 @example(record=("certificate", [[(10**50, 10**60)]]), where="solve", j=[0, 2], other=None)
 @example(record=("certificate", [[(m + 1, 2 * m + 7) for m in range(9)] for _ in range(7)]),
          where="contrast", j=[0, 2, 4], other=[[0, [[0, 1]]]])
+@example(record=("bstar", []), where="solve", j=[], other=[])
+@example(record=("bstar", [[], []]), where="contrast", j=[0], other={})
+@example(record=("bstar", [[1, 0, 10**40], [], [7]]), where=2, j=[], other=[])
 @example(record=("segment", BlockSegment(None, 3)), where=2, j=[], other=[])
 @example(record=("prefix", NuPrefix([0, 0, 2], [ObeysSegment(0, 0, 1, 5), BlockSegment(0, 2),
                                                 BlockSegment(None, 3)])), where=1, j=[], other={})
@@ -951,6 +961,8 @@ def test_records_are_written_in_their_documented_form():
             {"nStar": 0, "mStar": 1, "i0": 2, "i1": 7},
             {"nStar": 1, "mStar": 0, "i0": 3, "i1": 9},
         ]),
+        (BStar([[1, 0], []]), [[0, [[0, 1], [1, 0]]], [1, []]]),
+        (BStar([]), []),
     ]
     for record, want in cases:
         assert dump(record) == json.dumps(want, indent=2, sort_keys=True) + "\n"

@@ -134,8 +134,8 @@ def test_verify_solution_clean_window():
 def test_verify_solution_flags_corrupted_cache():
     L = LimitAutomorphism(D, nu_words([1]), fresh_scale())
     good = L.apply(0, 2)
-    _, preimage = L._points[(0, 2)]
-    L._points[(0, 2)] = (good + 40, preimage)
+    L.row(0, 4)
+    L._rows[0][2] = good + 40  # the kept row that verify_solution reads
     problems = verify_solution(L, 1, 4)
     assert any(p["n"] == 0 and p["m"] == 2 for p in problems)
     bad = next(p for p in problems if p["m"] == 2)

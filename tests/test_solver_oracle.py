@@ -10,16 +10,21 @@ pair and the least pair make_witness accepts.  The limit rows are checked
 against their equations and against exact downward substitution, over
 explicit and Cauchy driving sequences as well as the built-in one.  The
 limit reads a list prefix's values at depth at most trivial_from; the
-reference is approx at the witness's own stabilization bound.
+reference is approx at the witness's own stabilization bound.  A limit
+row read at once is checked against one apply per point, the equation
+check against a chase of one apply per letter, and the depth hint's scan
+of the window's last column against the whole window's certificate.
 """
 
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grpeq.perm import IDENTITY, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
+from grpeq.cli import _sufficient_depth
+from grpeq.perm import IDENTITY, NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
 from grpeq.scale import (
     NotObeying,
     ObeysSegment,
@@ -71,7 +76,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (IndexError, ValueError) as exc:
+    except (NotObeying, WitnessNotFound, IndexError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -549,3 +554,111 @@ def test_a_missing_witness_still_raises_under_the_cap():
     with pytest.raises(WitnessNotFound) as exc:
         limit.apply(0, 5)
     assert (exc.value.n, exc.value.m) == (0, 5)
+
+
+def short_limit(kind, seed, terms, entries, budget, bound):
+    """A limit over a driving prefix of terms terms (unbounded for builtin)
+    on a fresh scale, so two calls share no memo."""
+    d = driving_sequence(kind, seed, terms)
+    return LimitAutomorphism(d, nu_words(entries), build_scale(d, budget, 1), search_bound=bound)
+
+
+SHORT_LIMITS = dict(
+    kind=KINDS, seed=st.integers(0, 10**6), terms=st.integers(1, 40), entries=EXPONENTS,
+    budget=st.integers(1, 3), bound=st.integers(4, 160),
+)
+
+
+@ORACLE
+@given(**SHORT_LIMITS, n=st.integers(0, 4), count=st.integers(0, 14), certify=st.booleans())
+@example(kind="builtin", seed=24, terms=1, entries=[], budget=3, bound=48, n=1, count=13,
+         certify=False)  # WitnessNotFound at (1, 9)
+@example(kind="explicit", seed=24, terms=32, entries=[0], budget=3, bound=153, n=0, count=6,
+         certify=True)  # ShortPrefix at the stabilization bound of a certified pair
+@example(kind="explicit", seed=18, terms=5, entries=[0, 2], budget=2, bound=124, n=3, count=13,
+         certify=False)  # ShortPrefix with the row not yet scanned
+@example(kind="cauchy", seed=23, terms=5, entries=[0] * 12 + [1, 0, 0], budget=1, bound=91, n=1,
+         count=4, certify=False)  # pair 0's table fails before the scan runs out of the prefix
+def test_row_reads_what_apply_reads_point_by_point(
+    kind, seed, terms, entries, budget, bound, n, count, certify
+):
+    # the row and the per-point reads give the same values or raise the
+    # same error, and read the scale equally far; with certify the index
+    # holds the row's scan first, as in a solve
+    by_row, by_point = (short_limit(kind, seed, terms, entries, budget, bound) for _ in range(2))
+    if certify:
+        for limit in (by_row, by_point):
+            outcome(lambda: obeys_certificate(limit.index, max(n + 1, count)))
+    got = outcome(lambda: by_row.row(n, count))
+    assert got == outcome(lambda: [by_point.apply(n, m) for m in range(count)])
+    assert by_row.s.materialized() == by_point.s.materialized()
+    if isinstance(got, list):  # a kept row reads back, whole or in part
+        assert by_row.row(n, count) == got and by_row.row(n, count // 2) == got[: count // 2]
+
+
+def pointwise_verify(limit, n_window, m_window):
+    """The equation check one point at a time: each limit value against its
+    equation, chased unit letter by unit letter through apply."""
+    problems = []
+    for n in range(n_window):
+        for m in range(m_window):
+            got, t, x = limit.apply(n, m), limit.w.gen(n), m
+            for _ in range(max(t, 1)):
+                x = limit.apply(n + 1, x)
+            want = limit.d.perm(n + 1).apply(x) if t else x
+            if got != want:
+                problems.append({"n": n, "m": m, "limit": got, "equation": want})
+    return problems
+
+
+@ORACLE
+@given(**SHORT_LIMITS, n_window=st.integers(0, 4), m_window=st.integers(0, 12))
+@example(kind="cauchy", seed=28, terms=37, entries=[1, 3, 1, 0, 0, 0], budget=2, bound=36,
+         n_window=2, m_window=6)  # the chase leaves the window for a pair with no witness
+@example(kind="cauchy", seed=18, terms=35, entries=[1, 3, 3, 0, 0], budget=2, bound=147,
+         n_window=2, m_window=6)  # the chase leaves the window past the driving prefix
+def test_equation_check_reads_what_the_pointwise_chase_reads(
+    kind, seed, terms, entries, budget, bound, n_window, m_window
+):
+    # a solve's reads in order: certificate, the window's rows, equation check
+    by_row, by_point = (short_limit(kind, seed, terms, entries, budget, bound) for _ in range(2))
+    up_to = max(n_window + 1, m_window)
+
+    def solve(limit, rows, check):
+        obeys_certificate(limit.index, up_to)
+        return [rows(limit, n) for n in range(n_window)], check(limit, n_window, m_window)
+
+    got = outcome(lambda: solve(by_row, lambda L, n: L.row(n, m_window), verify_solution))
+    assert got == outcome(lambda: solve(
+        by_point, lambda L, n: [L.apply(n, m) for m in range(m_window)], pointwise_verify))
+    assert by_row.s.materialized() == by_point.s.materialized()
+
+
+def full_rerun_depth(exc, w, s, depth, up_to):
+    """The depth hint from the whole window's certificate on an index with
+    no bound: its largest i1, or exc when that certificate fails."""
+    try:
+        rows = obeys_certificate(WitnessIndex(w, s, sys.maxsize), up_to)
+    except (ShortPrefix, NoBound, NotObeying):
+        return exc
+    suffices = max(i1 for ends in rows for _, i1 in ends)
+    return NotObeying(exc.n_star, exc.m_star,
+                      f" within --depth {depth}; --depth {suffices} suffices for this window")
+
+
+@ORACLE
+@given(kind=KINDS, seed=st.integers(0, 10**6), terms=st.integers(1, 40),
+       entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 2**63, 10**30]), max_size=24),
+       budget=st.integers(1, 4), up_to=st.integers(1, 40))
+@example(kind="builtin", seed=0, terms=1, entries=[10**30, 1], budget=1, up_to=6)  # no hint
+@example(kind="cauchy", seed=0, terms=3, entries=[1], budget=2, up_to=4)  # past the prefix
+@example(kind="cauchy", seed=1, terms=40, entries=[1, 0, 2], budget=1, up_to=5)  # 22 suffices
+def test_one_column_depth_hint_matches_the_full_rerun(kind, seed, terms, entries, budget, up_to):
+    exc = NotObeying(0, 0)
+    d = driving_sequence(kind, seed, terms)
+
+    def hint(fn):
+        got = fn(exc, nu_words(entries), build_scale(d, budget, 1), 7, up_to)
+        return got is exc, str(got)
+
+    assert hint(_sufficient_depth) == hint(full_rerun_depth)
