@@ -6,8 +6,11 @@ attribute, its check and, where one exists, its default.  Loaders check
 their input through the tables and hand plain checked data to the domain
 constructors, which keep their own checks.  An error keeps its type and
 gains the JSON path of the rejected value ("c[12]: duplicate point 3");
-read() puts the file name in front of that.  dump() writes a report, and
-each record in it through its table.
+read() puts the file name in front of that.  A Cauchy prefix is the one
+record read outside the tables' checkers: perm._quotients reads its
+members in one loop and hands any member it cannot read in place back here,
+to be checked with its path.  dump() writes a report, and each record in it
+through its table.
 """
 
 from __future__ import annotations
@@ -104,18 +107,9 @@ def _fields(obj, table: dict) -> list:
     return values
 
 
-def _perms(value) -> list[dict[int, int]]:
-    """_each(value, check=_checked_moves) for a JSON list of permutations,
-    each a JSON list of pairs, in one loop: the loading hot path."""
-    members = _list(value)
-    out = []
-    append = out.append
-    try:
-        for pairs in members:
-            append(_checked_moves(pairs if type(pairs) is list else _list(pairs)))
-    except ValueError as exc:
-        raise _at(exc, f"[{len(out)}]")
-    return out
+def _moves(pairs) -> dict[int, int]:
+    """The moves of a JSON list of [point, image] pairs (see _checked_moves)."""
+    return _checked_moves(_list(pairs))
 
 
 _naturals = partial(_each, check=_natural)
@@ -187,14 +181,28 @@ def null_sequence_from_json(obj) -> NullSequence:
     quotients of a Cauchy prefix.  Permutations are [point, image] pair
     lists, each checked as Perm.from_pairs checks it.  An explicit prefix
     answers the mover bound of only the points its moverBound lists; a
-    Cauchy prefix gives 0 for a point that no quotient moves."""
+    Cauchy prefix gives 0 for a point that no quotient moves.
+
+    A Cauchy prefix's "c" is read in one pass (see perm._quotients), which
+    checks every member, c[i] named in front of its error, before it
+    raises the NotNull of an odd length or of a collapsing pair, which
+    carries no field path."""
     kind = _object(obj).get("kind")
     if kind == "explicit":
-        table = {**_KIND, "perms": ("perms", _perms), "moverBound": ("bounds", _mover_bounds, [])}
+        table = {**_KIND, "perms": ("perms", partial(_each, check=_moves)),
+                 "moverBound": ("bounds", _mover_bounds, [])}
         _, perms, bounds = _fields(obj, table)
         return NullSequence.explicit([Perm._trusted(moves) for moves in perms], bounds)
     if kind == "cauchy":
-        return _quotients(_fields(obj, {**_KIND, "c": ("c", _perms)})[1])
+        c = _fields(obj, {**_KIND, "c": ("c", _list)})[1]
+
+        def checked(i: int) -> dict[int, int]:
+            try:
+                return _moves(c[i])
+            except ValueError as exc:
+                raise _at(exc, f".c[{i}]")
+
+        return _quotients(c, checked)
     if kind == "transpositions":
         _fields(obj, _KIND)
         return NullSequence.transpositions()

@@ -260,7 +260,8 @@ class WordSums:
     (n*, i0) is lens[j(i0)+1] - lens[n*]; one bisect in the sorted list of
     nontrivial indices read tells whether an interval holds only trivial
     words.  The search (WitnessIndex) and the audit (holds) share these
-    tables and the two checks least_i1 and all_trivial.  Words from
+    tables; the audit checks through least_i1 and all_trivial, and the
+    search checks the same clauses in place.  Words from
     w.trivial_from on are never read: each is y1, of length 1, so a check
     costs the same whether j(i1) lies just past that index or far beyond.
     """
@@ -372,9 +373,13 @@ class WitnessIndex(WordSums):
     def ends(self, n_star: int, first: int, last: int) -> list[tuple[int, int]]:
         """The least witness (i0, i1) within the search bound of each pair
         (n*, m*) with first <= m* + 1 <= last, in order of m*, ending before
-        the first pair that has none."""
-        s, bound = self.s, self.search_bound
-        least_i1, all_trivial = self.least_i1, self.all_trivial
+        the first pair that has none.  A candidate is checked in place, as
+        least_i1 and all_trivial check it, with no method call but the
+        scale's reads: j(i0), then j(i1) only when i1 is within the bound.
+        So the words are read through j(i0) only when j(i0) >= n*, and
+        through j(i1) only when i1 is within the bound."""
+        value, bound = self.s.value, self.search_bound
+        lens, nontrivial = self._lens, self._nontrivial  # grown in place by _read_through
         row = self._rows.setdefault(n_star, {})
         out: list[tuple[int, int]] = []
         start = first
@@ -384,12 +389,32 @@ class WitnessIndex(WordSums):
             while end is None:
                 if i0 > bound:  # only at a start: the candidate i0 = bound stops
                     return out
-                j0 = s.value(i0)
-                i1 = least_i1(n_star, i0, j0)
-                if i1 <= bound and not all_trivial(j0, s.value(i1)):  # i0 fails
-                    i0 += 1
-                    end = row.get(i0)
-                    continue
+                j0 = value(i0)
+                # i1 = least_i1(n_star, i0, j0)
+                if j0 < n_star:
+                    i1 = i0 + 1 if i0 > n_star else n_star + 1
+                else:
+                    if j0 >= self._unread:
+                        self._read_through(j0)
+                    tail = len(lens) - 1
+                    if j0 < tail:
+                        i1 = i0 + lens[j0 + 1] - lens[n_star] + 1
+                    elif n_star >= tail:  # j0 lies in the tail, whose words have length 1
+                        i1 = i0 + j0 + 2 - n_star
+                    else:
+                        i1 = i0 + lens[tail] - lens[n_star] + j0 + 2 - tail
+                    if i1 <= n_star:
+                        i1 = n_star + 1
+                if i1 <= bound:
+                    # i0 fails unless all_trivial(j0, j(i1))
+                    j1 = value(i1)
+                    if j1 >= self._unread:
+                        self._read_through(j1)
+                    k = bisect_left(nontrivial, j0)
+                    if k < len(nontrivial) and nontrivial[k] <= j1:
+                        i0 += 1
+                        end = row.get(i0)
+                        continue
                 end = row[i0] = (i0, i1)  # a witness, or the stop when i1 > bound
             for walked in range(start, i0):  # the other starts this walk resolved
                 row[walked] = end

@@ -394,6 +394,26 @@ def test_solve_odd_cauchy_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "c, code, line",
+    [
+        # pair 0 collapses, and the last member lists a point twice: every
+        # member is checked before a pair, so the member's line wins
+        ([[[0, 1], [1, 0]], [[0, 1], [1, 0]], [[2, 3], [3, 2]], [[2, 3], [3, 2], [7, 7], [7, 8]]],
+         1, "c[3]: duplicate point 7"),
+        # pair 0 collapses, and c[2] has no partner: the odd length wins,
+        # with no field path in front
+        ([[[0, 1], [1, 0]], [[0, 1], [1, 0]], [[2, 3], [3, 2]]],
+         4, "cauchy prefix has odd length 3: c[2] has no partner"),
+    ],
+    ids=["member-over-collapse", "odd-over-collapse"],
+)
+def test_cauchy_errors_keep_their_precedence(tmp_path, capsys, c, code, line):
+    d = write_json(tmp_path / "d.json", {"kind": "cauchy", "c": c})
+    nu = write_json(tmp_path / "nu.json", {"prefix": [1], "tail": "zero"})
+    assert run(capsys, ["solve", "--nu", nu, "--d", d]) == (code, "", f"error: {d}: {line}\n")
+
+
+@pytest.mark.parametrize(
     "d_obj",
     [
         [1, 2],  # not an object

@@ -7,25 +7,32 @@ each quotient on its first fetch.  The reference below is the eager rule:
 validate every c[i] as a map, compose every quotient inverse(c[2n]) c[2n+1]
 up front, and read the bounds off the quotient supports.  Both must give
 the same terms in any read order, the same bounds, and on a defective input
-the same exception type and message.  An explicit prefix's declared bounds
-are checked against the per-point scan: for each (m, K) in order, every
-term from K on must fix m.
+the same exception type and message, whichever members the loader reads
+in its loop and whichever it hands to _checked_moves.  An explicit
+prefix's declared bounds are checked against the per-point scan: for each
+(m, K) in order, every term from K on must fix m.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
-from grpeq.load import null_sequence_from_json
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from grpeq.load import null_sequence_from_json, read
 from grpeq.perm import IDENTITY, NoBound, NotNull, NullSequence, Perm, cauchy_to_null, compose
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
+def natural(value):
+    return type(value) is int and value >= 0  # JSON true and 1.0 are not naturals
+
+
 def reference_moves(pairs):
     """A pair list as a dict of moved points, with the eager rule's checks
-    in its order: a member that is not a list and a pair that is not two
-    values fail at once, then every duplicate, then naturals, then
-    permutation."""
+    in its order: a member that is not a list, a pair that is not two
+    values and a point that is a list (which no dict can hold) fail at
+    once, then every duplicate, then naturals, then permutation."""
     if not isinstance(pairs, list):
         raise ValueError(f"expected a JSON list, got {pairs!r}")
     mapping = {}
@@ -33,12 +40,14 @@ def reference_moves(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"not a [point, image] pair: {pair!r}")
         p, q = pair
+        if isinstance(p, list):
+            raise ValueError("points must be naturals")
         if p in mapping:
             raise ValueError(f"duplicate point {p}")
         mapping[p] = q
     moves = {}
     for k, v in mapping.items():
-        if k < 0 or v < 0:
+        if not (natural(k) and natural(v)):
             raise ValueError("points must be naturals")
         if k != v:
             moves[k] = v
@@ -128,7 +137,8 @@ def test_loader_matches_eager_reference(c, data):
             assert d.mover_bound(m) == bounds.get(m, 0)
 
 
-DEFECTS = ["duplicate", "negative", "non-permutation", "collapse", "odd", "not-a-list", "bad-pair"]
+DEFECTS = ["duplicate", "repeat", "negative", "non-permutation", "collapse", "odd", "not-a-list",
+           "bad-pair", "boolean", "float", "nested"]
 NOT_LISTS = [5, "ab", {"a": 1}, None]
 BAD_PAIRS = [[1, 2, 3], [4], 5, "ab", {"a": 1}, None]
 
@@ -145,12 +155,23 @@ def inject(c, defect, late):
         c[i] = c[i] + [BAD_PAIRS[len(c[i]) % len(BAD_PAIRS)]]
     elif defect == "duplicate":
         c[i] = c[i] + [[7, 7], [7, 8]]
+    elif defect == "repeat":  # no fixed point, so the loop sees the duplicate
+        c[i] = c[i] + (c[i][:1] or [[7, 8], [7, 8]])
     elif defect == "negative":
-        c[i] = c[i] + [[-1, -1]]
+        c[i] = c[i] + [[-1, -2], [-2, -1]]
     elif defect == "non-permutation":
         c[i] = c[i] + [[40, 41]]
+    elif defect == "boolean":  # a duplicate of 1 when the member moves 1
+        c[i] = c[i] + [[True, 1]]
+    elif defect == "float":
+        c[i] = c[i] + [[1.0, 2]]
+    elif defect == "nested":
+        c[i] = c[i] + [[[1], 2]]
     elif defect == "collapse":
         c[2 * n + 1] = list(reversed(c[2 * n])) + [[50, 50]]
+
+
+T01, T12, T23 = [[0, 1], [1, 0]], [[1, 2], [2, 1]], [[2, 3], [3, 2]]
 
 
 @ORACLE
@@ -158,6 +179,11 @@ def inject(c, defect, late):
     c=cauchy_prefixes(width=6, max_terms=6),
     defects=st.lists(st.tuples(st.sampled_from(DEFECTS), st.booleans()), min_size=1, max_size=2),
 )
+# pair 0 collapses and the last member has a duplicate: the member's line wins
+@example(c=[T01, T01, T12, T23], defects=[("duplicate", True)])
+@example(c=[T01, T01, T12, T23], defects=[("boolean", True)])
+# pair 0 collapses and the length is odd: the odd length wins
+@example(c=[T01, T01, T12, T23], defects=[("odd", False)])
 def test_defects_raise_as_the_eager_reference(c, defects):
     c = list(c)
     for defect, late in defects:
@@ -180,17 +206,32 @@ def test_defects_raise_as_the_eager_reference(c, defects):
         ([[[0, -1], [-1, 0], [5, 6]], []], "points must be naturals"),
         ([[[0, 1]], [[0, 1], [1, 0]], [[0, 0]]], "mapping is not a permutation of its support"),
         ([[[0, 1], [1, 0]], [[1, 0], [0, 1], [2, 2]]], "pair 0 collapses: c[0] equals c[1]"),
+        # members with no fixed point, which the loader reads in its loop
+        ([[[0, 1], [1, 0], [0, 1]], []], "duplicate point 0"),
+        ([[[0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]]], "c[1]: duplicate point 0"),
+        ([[[0, 1], [1, 0]], [[0, -1], [-1, 0]]], "c[1]: points must be naturals"),
+        ([[[0, True], [1, 0]], []], "points must be naturals"),  # an image equal to 1
+        ([[[0, 1.0], [1, 0]], []], "points must be naturals"),
+        ([[[0, 1], [1, 0]], [[0, True], [1, 0]]], "c[1]: points must be naturals"),
+        ([T01, T01, T23], "cauchy prefix has odd length 3: c[2] has no partner"),
     ],
 )
-def test_checks_keep_their_order(c, message):
+def test_checks_keep_their_order(tmp_path, c, message):
     # a duplicate wins over an earlier negative point, naturals over a
-    # non-permutation, and every c[i] is checked before the pairs; each case
-    # here fails at c[0], named in front of a member's message
-    want = message if message.startswith("pair ") else f"c[0]: {message}"
+    # non-permutation, every c[i] is checked before the pairs, and an odd
+    # length before a collapse.  A member's message is led by its path,
+    # c[0] unless named, and a NotNull's by none, so the file's line reads
+    # exactly as below
+    want = message if message.startswith(("c[", "pair ", "cauchy ")) else f"c[0]: {message}"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "cauchy", "c": c}))
     for load in (reference, lambda c: null_sequence_from_json({"kind": "cauchy", "c": c})):
         with pytest.raises(ValueError) as exc:
             load(c)
         assert str(exc.value) == want
+    with pytest.raises(ValueError) as exc:
+        read(str(path), null_sequence_from_json)
+    assert str(exc.value) == f"{path}: {want}"
 
 
 def reference_explicit(terms, bounds):

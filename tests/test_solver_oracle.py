@@ -4,9 +4,10 @@ approx shares a trivial word's row with the row above it instead of
 evaluating the word; the reference chases every row's unit letters on a
 window of points, with neither approx nor evaluate.  WitnessIndex
 answers every pair from one prefix sum and one sorted list of nontrivial
-indices, shared across queries, and checks each candidate of a row once;
-the references are a fresh index per
-pair and the least pair make_witness accepts.  The limit rows are checked
+indices, shared across queries, and checks each candidate of a row once,
+in place; the references are a fresh index per pair, the least pair
+make_witness accepts, and a scan through WordSums' methods that must read
+the scale and the words in the same order.  The limit rows are checked
 against their equations and against exact downward substitution, over
 explicit and Cauchy driving sequences as well as the built-in one.  The
 limit reads a list prefix's values at depth at most trivial_from; the
@@ -45,7 +46,7 @@ from grpeq.solver import (
     stabilization_bound,
     verify_solution,
 )
-from grpeq.words import nu_at, nu_words, random_sparse_nu_prefix
+from grpeq.words import WordSeq, nu_at, nu_words, random_sparse_nu_prefix
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -202,6 +203,75 @@ def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, 
         assert len(counted.reads) == reads
     # each candidate (n*, i0), i0 = 1 .. bound, is checked at most once
     assert len(counted.reads) <= 2 * 6 * bound
+
+
+class MethodScan(WitnessIndex):
+    """WitnessIndex with a row's scan made of WordSums' methods: one
+    least_i1 and one all_trivial call per candidate."""
+
+    def ends(self, n_star, first, last):
+        s, bound = self.s, self.search_bound
+        row = self._rows.setdefault(n_star, {})
+        out = []
+        start = first
+        while start <= last:
+            i0 = start
+            end = row.get(i0)
+            while end is None:
+                if i0 > bound:
+                    return out
+                j0 = s.value(i0)
+                i1 = self.least_i1(n_star, i0, j0)
+                if i1 <= bound and not self.all_trivial(j0, s.value(i1)):
+                    i0 += 1
+                    end = row.get(i0)
+                    continue
+                end = row[i0] = (i0, i1)
+            for walked in range(start, i0):
+                row[walked] = end
+            i0, i1 = end
+            if i1 > bound:
+                return out
+            out += [end] * (min(i0, last) - start + 1)
+            start = i0 + 1
+        return out
+
+
+def logged_words(entries, declared, log):
+    """The words of entries, each gen call logged; declared keeps their
+    trivial_from, else they declare nothing."""
+    words = nu_words(entries)
+    return WordSeq(gen=lambda n: log.append(n) or words.gen(n),
+                   trivial_from=words.trivial_from if declared else None)
+
+
+@ORACLE
+@given(
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=16),
+    declared=st.booleans(),
+    budget=st.integers(1, 3),
+    gaps=st.none() | st.lists(st.integers(0, 3), max_size=24),
+    bound=st.integers(1, 40) | st.just(sys.maxsize),
+    queries=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8), st.integers(-1, 6)),
+                     max_size=8),
+)
+# a short loaded scale: a scan raises ShortScale, and a retry raises again
+@example(entries=[0, 2, 0, 1], declared=False, budget=1, gaps=[0, 1], bound=sys.maxsize,
+         queries=[(0, 1, 4), (2, 1, 3), (0, 1, 4)])
+def test_scan_reads_what_the_method_scan_reads(entries, declared, budget, gaps, bound, queries):
+    s = build_scale(NullSequence.transpositions(), budget, 1) if gaps is None \
+        else irregular_scale(budget, gaps)
+    runs = []
+    for cls in (WitnessIndex, MethodScan):
+        log = []
+        counted = CountingScale(s)
+        index = cls(logged_words(entries, declared, log), counted, bound)
+        got = []
+        for n_star, first, extra in queries:
+            got.append((outcome(index.ends, n_star, first, first + extra),
+                        counted.reads[:], log[:], index.frontier))
+        runs.append(got)
+    assert runs[0] == runs[1]
 
 
 def witnesses(cert):
