@@ -10,7 +10,8 @@ Exit codes: 0 ok, 1 other input error (among them a usage error such as
 a missing or malformed option, a malformed --scale file, or one with
 fewer entries than the run reads: the line names both counts), 2 no obeys
 witness for some pair, 3 no stabilization witness for a queried point,
-4 bad driving sequence, 5 verification failure.  Every error is one
+4 bad driving sequence, 5 verification failure.  A run that runs out of
+memory also exits 1, with "error: out of memory".  Every error is one
 "error:" line on stderr.
 """
 
@@ -70,7 +71,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def cmd_scale(args) -> int:
     d = _load_dseq(args.d)
-    s = build_scale(d, args.budget, args.count)
+    s = build_scale(d, args.budget, 0)  # the prefix below is its one read
     _emit(json.dumps(s.prefix(args.count)) + "\n", args.out)
     return EXIT_OK
 
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_DSEQ
     except (ValueError, OSError, ShortScale) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

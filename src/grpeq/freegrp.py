@@ -443,9 +443,9 @@ def diagonalize(
 def _witness_failures(prefix: NuPrefix, s: Scale) -> list[ObeysSegment]:
     """The logged ObeysSegments that make_witness rejects, each checked by
     WordSums.holds over one read of the entries' words (the zero tail past
-    them is counted, not read): a segment costs its two scale reads, one
-    bisect and two prefix-sum lookups.  A segment that reads past a loaded
-    scale fails.  Unlike a WitnessIndex, the audit checks no word budget,
+    them is counted, not read, and a zero word keeps nothing): a segment
+    costs its two scale reads and two bisects.  A segment that reads past a
+    loaded scale fails.  Unlike a WitnessIndex, the audit checks no word budget,
     as make_witness checks none.
     """
     sums = WordSums(prefix.word_seq(), s)

@@ -20,6 +20,11 @@ rule as the oracle verify_scale recomputes with.
 Over a sequence that declares NullSequence.gap_decides, as the built-in
 one does, clause (c) decides every step, and build_scale returns the closed
 form j_n = (budget + 1) * n: a read at any index is one multiplication.
+
+A witness (i0, i1) for the pair (n*, m*) needs the words on [j(i0), j(i1)]
+trivial and the words n*..j(i0) shorter than its gap.  WordSums checks both
+on one table that grows only at nonzero words, WitnessIndex searches it
+for the least witnesses, and make_witness rechecks one word by word.
 """
 
 from __future__ import annotations
@@ -253,83 +258,71 @@ def check_witness(w: WordSeq, s: Scale, wit: ObeysSegment) -> bool:
 
 
 class WordSums:
-    """The witness clauses over one word sequence and scale, checked
-    against two tables of the words, read once in index order.
+    """The witness clauses over one word sequence and scale, checked on one
+    table of the nonzero words, read once in index order.
 
-    lens[x] is the total length of words 0..x-1, so the length sum for
-    (n*, i0) is lens[j(i0)+1] - lens[n*]; one bisect in the sorted list of
-    nontrivial indices read tells whether an interval holds only trivial
-    words.  The search (WitnessIndex) and the audit (holds) share these
-    tables; the audit checks through least_i1 and all_trivial, and the
-    search checks the same clauses in place.  Words from
-    w.trivial_from on are never read: each is y1, of length 1, so a check
-    costs the same whether j(i1) lies just past that index or far beyond.
+    The table is the sorted nontrivial indices read, and sums, where
+    sums[k] is the total exponent of the first k of them.  With
+    S(x) = sums[bisect_left(nontrivial, x)], the words a..b have length
+    b + 1 - a + S(b + 1) - S(a), and are all trivial when the first
+    nontrivial index at or after a lies past b.  A zero word adds nothing,
+    so a zero stretch costs its reads and no memory.  Words from
+    w.trivial_from on are never read: each is y1, of exponent 0, so the
+    formula holds there too, and a check costs the same whether j(i1) lies
+    just past that index or far beyond.
     """
 
     def __init__(self, w: WordSeq, s: Scale):
         self.w = w
         self.s = s
-        self._lens = [0]
         self._nontrivial: list[int] = []
+        self._sums = [0]
         self._unread = 0  # the first word not read, sys.maxsize once the tail is reached
 
     @property
     def frontier(self) -> int:
         """The last word index read, -1 before any read.  The words past it
         may still change without making an answer stale."""
-        return len(self._lens) - 2
+        tail = self.w.trivial_from
+        return (self._unread if tail is None else min(self._unread, tail)) - 1
 
     def _read_through(self, x: int) -> None:
-        """Read the words up to index x, or up to w.trivial_from, into lens
-        and the nontrivial list: word i of exponent t has length 1 + t and
-        is trivial exactly when t = 0."""
-        lens, nontrivial, gen = self._lens, self._nontrivial, self.w.gen
+        """Read the words from the first unread one through index x, or up
+        to w.trivial_from, into the table.  A gen that raises keeps the words
+        read before it, and the next read starts at the word that raised."""
+        nontrivial, sums, gen = self._nontrivial, self._sums, self.w.gen
         tail = self.w.trivial_from
-        if tail is not None:
-            x = min(x, tail - 1)
-        total = lens[-1]
-        for i in range(len(lens) - 1, x + 1):
-            t = gen(i)
-            total += 1 + t
-            lens.append(total)
-            if t:
-                nontrivial.append(i)
-        self._unread = len(lens) - 1 if tail is None or x < tail - 1 else sys.maxsize
-
-    def least_i1(self, n_star: int, i0: int, j0: int) -> int:
-        """The least i1 that the order and length clauses allow for
-        (n*, i0), where j0 = j(i0): the larger of n* + 1 and i0 + 1 plus
-        the total length of words n*..j0 (none when j0 < n*)."""
-        if j0 < n_star:
-            return max(i0 + 1, n_star + 1)
-        if j0 >= self._unread:  # past the frontier
-            self._read_through(j0)
-        lens = self._lens
-        if j0 + 1 < len(lens):
-            return max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
-        tail = len(lens) - 1  # j0 lies in the tail, whose words have length 1
-        total = j0 + 1 - n_star if n_star >= tail else lens[tail] - lens[n_star] + j0 + 1 - tail
-        return max(i0 + total + 1, n_star + 1)
-
-    def all_trivial(self, j0: int, j1: int) -> bool:
-        """Whether the words j0..j1 are all trivial: the first nontrivial
-        index at or after j0 lies past j1.  No index from w.trivial_from on
-        is nontrivial."""
-        if j1 >= self._unread:
-            self._read_through(j1)
-        nontrivial = self._nontrivial
-        k = bisect_left(nontrivial, j0)
-        return k == len(nontrivial) or nontrivial[k] > j1
+        end = x + 1 if tail is None else min(x + 1, tail)
+        total = sums[-1]
+        i = self._unread
+        try:
+            for i in range(i, end):
+                t = gen(i)
+                if t:
+                    total += t
+                    nontrivial.append(i)
+                    sums.append(total)
+            i = sys.maxsize if end == tail else end
+        finally:
+            self._unread = i
 
     def holds(self, seg: ObeysSegment) -> bool:
         """Whether seg passes every clause make_witness checks.  Once the
-        order clauses pass it reads j(i0) and j(i1), so a loaded scale that
-        ends before j(i1) raises ShortScale, as make_witness does."""
+        order clauses pass it reads j(i0), j(i1), then the words through
+        j(i1); a loaded scale that ends before j(i1) raises ShortScale."""
         n_star, i0, i1 = seg.n_star, seg.i0, seg.i1
         if not (0 <= seg.m_star < i0 and 0 <= n_star < i1 and i0 < i1):
             return False
-        j0 = self.s.value(i0)
-        return self.all_trivial(j0, self.s.value(i1)) and i1 >= self.least_i1(n_star, i0, j0)
+        j0, j1 = self.s.value(i0), self.s.value(i1)
+        if j1 >= self._unread:
+            self._read_through(j1)
+        nontrivial, sums = self._nontrivial, self._sums
+        k = bisect_left(nontrivial, j0)
+        if k < len(nontrivial) and nontrivial[k] <= j1:
+            return False
+        # the gap exceeds the length of words n*..j0, word j0 being trivial
+        below = sums[bisect_left(nontrivial, n_star)]
+        return j0 < n_star or i1 - i0 > j0 + 1 - n_star + sums[k] - below
 
 
 class WitnessIndex(WordSums):
@@ -373,14 +366,15 @@ class WitnessIndex(WordSums):
     def ends(self, n_star: int, first: int, last: int) -> list[tuple[int, int]]:
         """The least witness (i0, i1) within the search bound of each pair
         (n*, m*) with first <= m* + 1 <= last, in order of m*, ending before
-        the first pair that has none.  A candidate is checked in place, as
-        least_i1 and all_trivial check it, with no method call but the
-        scale's reads: j(i0), then j(i1) only when i1 is within the bound.
-        So the words are read through j(i0) only when j(i0) >= n*, and
-        through j(i1) only when i1 is within the bound."""
+        the first pair that has none.  A candidate is checked in place on
+        the table, with one bisect of j(i0) for both clauses and no method
+        call but the scale's reads: j(i0), then j(i1) only when i1 is within
+        the bound.  So the words are read through j(i0) only when
+        j(i0) >= n*, and through j(i1) only when i1 is within the bound."""
         value, bound = self.s.value, self.search_bound
-        lens, nontrivial = self._lens, self._nontrivial  # grown in place by _read_through
+        nontrivial, sums = self._nontrivial, self._sums  # grown in place by _read_through
         row = self._rows.setdefault(n_star, {})
+        below = None  # S(n*), fixed once the words through n* are read
         out: list[tuple[int, int]] = []
         start = first
         while start <= last:
@@ -390,27 +384,28 @@ class WitnessIndex(WordSums):
                 if i0 > bound:  # only at a start: the candidate i0 = bound stops
                     return out
                 j0 = value(i0)
-                # i1 = least_i1(n_star, i0, j0)
-                if j0 < n_star:
+                if j0 < n_star:  # no words n*..j0
                     i1 = i0 + 1 if i0 > n_star else n_star + 1
+                    k = -1  # bisected once the words through j(i1) are read
                 else:
                     if j0 >= self._unread:
                         self._read_through(j0)
-                    tail = len(lens) - 1
-                    if j0 < tail:
-                        i1 = i0 + lens[j0 + 1] - lens[n_star] + 1
-                    elif n_star >= tail:  # j0 lies in the tail, whose words have length 1
-                        i1 = i0 + j0 + 2 - n_star
-                    else:
-                        i1 = i0 + lens[tail] - lens[n_star] + j0 + 2 - tail
+                    # i0 + 1 plus the length of words n*..j0; S(j0 + 1) counts
+                    # word j0 when it is nontrivial
+                    if below is None:
+                        below = sums[bisect_left(nontrivial, n_star)]
+                    k = bisect_left(nontrivial, j0)
+                    s1 = sums[k + 1] if k < len(nontrivial) and nontrivial[k] == j0 else sums[k]
+                    i1 = i0 + j0 + 2 - n_star + s1 - below
                     if i1 <= n_star:
                         i1 = n_star + 1
                 if i1 <= bound:
-                    # i0 fails unless all_trivial(j0, j(i1))
+                    # i0 fails unless the words j0..j(i1) are all trivial
                     j1 = value(i1)
                     if j1 >= self._unread:
                         self._read_through(j1)
-                    k = bisect_left(nontrivial, j0)
+                    if k < 0:
+                        k = bisect_left(nontrivial, j0)
                     if k < len(nontrivial) and nontrivial[k] <= j1:
                         i0 += 1
                         end = row.get(i0)
@@ -446,12 +441,12 @@ def find_witness(
     as i0 grows, so once it passes the bound the search ends.  Each i0 reads
     j(i0), then j(i1) when i1 is within the bound, so a loaded finite scale
     runs out at the same index as a clause-by-clause loop.  Both clauses
-    are lookups in tables read once (see WordSums), so an i0 costs no
-    rescan of the words; an index shares them, and each row's scan,
-    between queries (see WitnessIndex).  When the words are trivial from
-    some index on, the search ends without the bound: once j(i0) reaches
-    that index the triviality clause passes, so a bound of sys.maxsize is
-    never reached.
+    are bisects in one table of the nonzero words read once (see WordSums),
+    so an i0 costs no rescan of the words; an index shares the table, and
+    each row's scan, between queries (see WitnessIndex).  When the words
+    are trivial from some index on, the search ends without the bound: once
+    j(i0) reaches that index the triviality clause passes, so a bound of
+    sys.maxsize is never reached.
     """
     return WitnessIndex(w, s, search_bound).find(n_star, m_star)
 

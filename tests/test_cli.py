@@ -41,6 +41,7 @@ def test_scale_stdout_golden(capsys):
     code, out, _ = run(capsys, ["scale", "--count", "10"])
     assert code == 0
     assert out == "[0, 2, 4, 6, 8, 10, 12, 14, 16, 18]\n"
+    assert run(capsys, ["scale", "--count", "0"]) == (0, "[]\n", "")
 
 
 def test_scale_budget_flag(capsys):
@@ -55,6 +56,17 @@ def test_scale_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == [0, 2, 4, 6]
+
+
+@pytest.mark.parametrize("argv", [["scale", "--count", "5"], ["contrast", "--window", "1,1"]],
+                         ids=["scale", "contrast"])
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, argv):
+    # a run that exhausts memory exits 1 with one error line, no traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_scale", exhausted)
+    assert run(capsys, argv) == (1, "", "error: out of memory\n")
 
 
 def test_solve_report_golden(tmp_path, capsys):

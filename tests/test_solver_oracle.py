@@ -3,11 +3,12 @@
 approx shares a trivial word's row with the row above it instead of
 evaluating the word; the reference chases every row's unit letters on a
 window of points, with neither approx nor evaluate.  WitnessIndex
-answers every pair from one prefix sum and one sorted list of nontrivial
-indices, shared across queries, and checks each candidate of a row once,
-in place; the references are a fresh index per pair, the least pair
-make_witness accepts, and a scan through WordSums' methods that must read
-the scale and the words in the same order.  The limit rows are checked
+answers every pair from one table of the nonzero words, shared across
+queries, and checks each candidate of a row once, in place; the
+references are a fresh index per pair, the least pair make_witness
+accepts, and a scan through methods over a per-word length table that
+must read the scale and the words in the same order, raise the same
+errors and leave the same frontier.  The limit rows are checked
 against their equations and against exact downward substitution, over
 explicit and Cauchy driving sequences as well as the built-in one.  The
 limit reads a list prefix's values at depth at most trivial_from; the
@@ -19,6 +20,7 @@ of the window's last column against the whole window's certificate.
 
 import random
 import sys
+from bisect import bisect_left
 from functools import lru_cache
 
 import pytest
@@ -206,8 +208,57 @@ def test_index_answers_match_fresh_searches_in_any_order(entries, budget, gaps, 
 
 
 class MethodScan(WitnessIndex):
-    """WitnessIndex with a row's scan made of WordSums' methods: one
-    least_i1 and one all_trivial call per candidate."""
+    """WitnessIndex with a row's scan made of methods over a per-word
+    table: one least_i1 and one all_trivial call per candidate.
+
+    lens[x] is the total length of words 0..x-1, one entry per word read,
+    and nontrivial lists the nontrivial indices read.  A word read that
+    raises keeps the words before it, and a retry starts at the word that
+    raised.  frontier is the last word index read."""
+
+    def __init__(self, w, s, search_bound):
+        super().__init__(w, s, search_bound)  # sets _nontrivial = [] and _unread = 0
+        self._lens = [0]
+
+    @property
+    def frontier(self):
+        return len(self._lens) - 2
+
+    def _read_through(self, x):
+        lens, nontrivial, gen = self._lens, self._nontrivial, self.w.gen
+        tail = self.w.trivial_from
+        if tail is not None:
+            x = min(x, tail - 1)
+        total = lens[-1]
+        for i in range(len(lens) - 1, x + 1):
+            t = gen(i)
+            total += 1 + t
+            lens.append(total)
+            if t:
+                nontrivial.append(i)
+        self._unread = len(lens) - 1 if tail is None or x < tail - 1 else sys.maxsize
+
+    def least_i1(self, n_star, i0, j0):
+        """The larger of n* + 1 and i0 + 1 plus the total length of words
+        n*..j0 (none when j0 < n*)."""
+        if j0 < n_star:
+            return max(i0 + 1, n_star + 1)
+        if j0 >= self._unread:
+            self._read_through(j0)
+        lens = self._lens
+        if j0 + 1 < len(lens):
+            return max(i0 + lens[j0 + 1] - lens[n_star] + 1, n_star + 1)
+        tail = len(lens) - 1  # j0 lies in the tail, whose words have length 1
+        total = j0 + 1 - n_star if n_star >= tail else lens[tail] - lens[n_star] + j0 + 1 - tail
+        return max(i0 + total + 1, n_star + 1)
+
+    def all_trivial(self, j0, j1):
+        """Whether the first nontrivial index at or after j0 lies past j1."""
+        if j1 >= self._unread:
+            self._read_through(j1)
+        nontrivial = self._nontrivial
+        k = bisect_left(nontrivial, j0)
+        return k == len(nontrivial) or nontrivial[k] > j1
 
     def ends(self, n_star, first, last):
         s, bound = self.s, self.search_bound
@@ -247,7 +298,8 @@ def logged_words(entries, declared, log):
 
 @ORACLE
 @given(
-    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), max_size=16),
+    # a negative exponent makes its word's read raise
+    entries=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, -1]), max_size=16),
     declared=st.booleans(),
     budget=st.integers(1, 3),
     gaps=st.none() | st.lists(st.integers(0, 3), max_size=24),
@@ -258,6 +310,10 @@ def logged_words(entries, declared, log):
 # a short loaded scale: a scan raises ShortScale, and a retry raises again
 @example(entries=[0, 2, 0, 1], declared=False, budget=1, gaps=[0, 1], bound=sys.maxsize,
          queries=[(0, 1, 4), (2, 1, 3), (0, 1, 4)])
+# a word read raises after nonzero words: a retry reads from that word on
+# and raises the same, with the same frontier
+@example(entries=[0, 2, 0, 0, 1, 0, -1], declared=True, budget=1, gaps=None, bound=sys.maxsize,
+         queries=[(0, 1, 3), (3, 1, 2), (0, 1, 3)])
 def test_scan_reads_what_the_method_scan_reads(entries, declared, budget, gaps, bound, queries):
     s = build_scale(NullSequence.transpositions(), budget, 1) if gaps is None \
         else irregular_scale(budget, gaps)

@@ -5,6 +5,9 @@ the intervals diagonalize lays down.  The oracle tries every pair (i0, i1)
 through make_witness in lexicographic order, with no shortcut.
 """
 
+import itertools
+import tracemalloc
+
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq.freegrp import ObeysSegment, SubBasis, ascending_generators, diagonalize, enumerate_h
@@ -18,7 +21,7 @@ from grpeq.scale import (
     find_witness,
     make_witness,
 )
-from grpeq.words import nu_words
+from grpeq.words import WordSeq, nu_words
 
 D = NullSequence.transpositions()
 ASC = ascending_generators()
@@ -159,29 +162,78 @@ def audited(w, s, seg):
         return False
 
 
+def spread(entries, runs):
+    """entries with a zero run after each nonzero one, its length taken
+    from runs in turn: the long zero stretches that diagonalize lays down;
+    entries as they are when runs is empty."""
+    out, lengths = [], itertools.cycle(runs)
+    for t in entries:
+        out.append(t)
+        if t and runs:
+            out += [0] * next(lengths)
+    return out
+
+
 @SEARCH
 @given(
     entries=st.lists(st.sampled_from([0, 0, 0, 1, 2]), max_size=30),
+    runs=st.just([]) | st.lists(st.integers(100, 10_000), min_size=1, max_size=3),
+    declared=st.booleans(),
     budget=st.integers(0, 3),
-    n_star=st.integers(0, 12),
+    n_star=st.integers(0, 12) | st.integers(0, 12_000),
     m_star=st.integers(0, 12),
-    i0=st.integers(0, 14),
-    gap=st.integers(0, 40),
+    i0=st.integers(0, 14) | st.integers(0, 5_000),
+    gap=st.integers(0, 40) | st.integers(0, 12_000),
     loaded=st.booleans(),
 )
-@example(entries=[0] * 9 + [1], budget=1, n_star=0, m_star=0, i0=1, gap=8, loaded=False)
-@example(entries=[0] * 9 + [1], budget=1, n_star=0, m_star=0, i0=1, gap=3, loaded=False)
-@example(entries=[0] * 9 + [1], budget=0, n_star=0, m_star=0, i0=3, gap=4, loaded=False)
-@example(entries=[], budget=1, n_star=0, m_star=0, i0=1, gap=30, loaded=True)
-def test_audit_verdict_matches_make_witness(entries, budget, n_star, m_star, i0, gap, loaded):
+@example(entries=[0] * 9 + [1], runs=[], declared=True, budget=1, n_star=0, m_star=0, i0=1,
+         gap=8, loaded=False)
+@example(entries=[0] * 9 + [1], runs=[], declared=True, budget=1, n_star=0, m_star=0, i0=1,
+         gap=3, loaded=False)
+@example(entries=[0] * 9 + [1], runs=[], declared=True, budget=0, n_star=0, m_star=0, i0=3,
+         gap=4, loaded=False)
+@example(entries=[], runs=[], declared=True, budget=1, n_star=0, m_star=0, i0=1, gap=30,
+         loaded=True)
+# words 1 and 10 002 are nonzero, a zero run between them: at j(i0) = 2 a
+# gap of 4 just covers the words 0..2 (length 4), and 3 does not
+@example(entries=[0, 1, 1], runs=[10_000], declared=False, budget=1, n_star=0, m_star=0,
+         i0=1, gap=4, loaded=False)
+@example(entries=[0, 1, 1], runs=[10_000], declared=False, budget=1, n_star=0, m_star=0,
+         i0=1, gap=3, loaded=False)
+# j(i1) = 10 002 reaches the second nonzero word; a gap one shorter passes
+@example(entries=[0, 1, 1], runs=[10_000], declared=True, budget=1, n_star=0, m_star=0,
+         i0=1, gap=4999, loaded=False)
+@example(entries=[0, 1, 1], runs=[10_000], declared=True, budget=1, n_star=0, m_star=0,
+         i0=1, gap=4998, loaded=False)
+def test_audit_verdict_matches_make_witness(
+    entries, runs, declared, budget, n_star, m_star, i0, gap, loaded
+):
     # the audit's verdict is make_witness's on the built-in scale and on a
-    # loaded one, a loaded scale that ends before j(i1) included
+    # loaded one, a loaded scale that ends before j(i1) included, over
+    # declared lists and bare callables with no trivial tail
     s = build_scale(D, budget, 30)
     if loaded:
         s = Scale.from_values(s.prefix(30), budget)
-    w = nu_words(entries)
+    w = nu_words(spread(entries, runs))
+    if not declared:
+        w = WordSeq(gen=w.gen)
     seg = ObeysSegment(n_star, m_star, i0, i0 + 1 + gap)
     assert audited(w, s, seg) == check_witness(w, s, seg)
+
+
+def test_a_zero_stretch_keeps_no_table():
+    # one nonzero word, then 10^6 zero words read: the table grows only at
+    # nonzero words, so it stays far below the 8 MiB a list entry per word
+    # read would take
+    sums = WordSums(WordSeq(gen=lambda n: 0 if n else 3), build_scale(D, 1, 1))
+    tracemalloc.start()
+    try:
+        assert sums.holds(ObeysSegment(0, 0, 1, 500_000))  # j(i1) = 10^6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.frontier == 10**6
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_audit_decides_far_segments_on_the_builtin_scale():
