@@ -6,11 +6,9 @@ attribute, its check and, where one exists, its default.  Loaders check
 their input through the tables and hand plain checked data to the domain
 constructors, which keep their own checks.  An error keeps its type and
 gains the JSON path of the rejected value ("c[12]: duplicate point 3");
-read() puts the file name in front of that.  A Cauchy prefix is the one
-record read outside the tables' checkers: perm._quotients reads its
-members in one loop and hands any member it cannot read in place back here,
-to be checked with its path.  dump() writes a report, and each record in it
-through its table.
+read() puts the file name in front of that.  A Cauchy prefix's members are
+read in one loop over their pairs (_cauchy), outside the tables.  dump()
+writes a report, and each record in it through its table.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ import json
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
+from typing import Optional
 
 from .freegrp import BlockSegment, NuPrefix, ObeysSegment
-from .perm import NullSequence, Perm, _checked_moves, _quotients
+from .perm import NotNull, NullSequence, Perm, _checked_moves, _product
 from .scale import Scale
 from .words import shown
 
@@ -174,6 +173,98 @@ def _mover_bounds(value) -> dict[int, int]:
     return bounds
 
 
+def _cauchy(c: list) -> NullSequence:
+    """The null sequence of the quotients c[2n]^-1 c[2n+1] of a Cauchy
+    prefix's members, read in one loop over their pairs.
+
+    Term n moves m exactly when c[2n](m) != c[2n+1](m), and only points
+    that a member of the pair moves can differ.  So the pass gives the
+    mover bound of every point (one past the last pair that moves it, 0
+    when no pair does) without composing anything, and a pair collapses
+    when its two maps are equal.  Term n is built from the two maps the
+    first time it is fetched, and kept for later fetches.
+
+    A member that is plainly a permutation with no fixed points, a list of
+    pairs of two ints, each point a natural other than its image, no point
+    twice and the images the points again, is read in the loop, its map
+    and inverse built pair by pair.  Any other member goes to _moves, the
+    one validation rule, and its error gains its path, c[i].  The second
+    member of a pair is compared with the first as it is read.  Every
+    member is read before a NotNull is raised: an odd length first, then
+    the first pair that collapses.
+    """
+    maps: list[dict[int, int]] = []  # the moves of c[0], c[1], ...
+    bounds: dict[int, int] = {}
+    collapsed = None
+    pairs = iter(c)
+    try:
+        for n, (x, y) in enumerate(zip(pairs, pairs)):
+            a = None
+            if type(x) is list:
+                a, inv = {}, {}
+                try:
+                    for p, q in x:
+                        if type(p) is not int or type(q) is not int or p < 0 or p == q:
+                            a = None
+                            break
+                        a[p] = q
+                        inv[q] = p
+                except (TypeError, ValueError):  # a pair that is not two values
+                    a = None
+                if a is not None and not (len(a) == len(x) and a.keys() == inv.keys()):
+                    a = None
+            if a is None:
+                a = _moves(x)
+            # as for x, and each point where b differs from a is recorded
+            b, bound, get = None, n + 1, a.get
+            if type(y) is list:
+                b, inv = {}, {}
+                try:
+                    for p, q in y:
+                        if type(p) is not int or type(q) is not int or p < 0 or p == q:
+                            b = None
+                            break
+                        b[p] = q
+                        inv[q] = p
+                        if get(p, p) != q:
+                            bounds[p] = bound
+                except (TypeError, ValueError):
+                    b = None
+                if b is not None and not (len(b) == len(y) and b.keys() == inv.keys()):
+                    b = None
+            if b is None:  # the loop may have stopped early, so all of b is compared
+                b = _moves(y)
+                for p, q in b.items():
+                    if get(p, p) != q:
+                        bounds[p] = bound
+            # maps with no fixed points are equal exactly when the members are
+            if collapsed is None and a == b:
+                collapsed = n
+            for m in a:
+                if m not in b:  # b fixes m and a moves it
+                    bounds[m] = bound
+            maps += a, b
+        if len(c) % 2:
+            a = None
+            _moves(c[-1])
+    except ValueError as exc:  # from _moves, on c[len(maps)] while a is None, else the next
+        raise _at(exc, f".c[{len(maps) + (a is not None)}]")
+    if len(c) % 2:
+        raise NotNull(f"cauchy prefix has odd length {len(c)}: c[{len(c) - 1}] has no partner")
+    if collapsed is not None:
+        raise NotNull(f"pair {collapsed} collapses: c[{2 * collapsed}] equals c[{2 * collapsed + 1}]")
+    terms: list[Optional[Perm]] = [None] * (len(maps) // 2)
+
+    def quotient(n: int) -> Perm:
+        d = terms[n]
+        if d is None:
+            a_inv = {q: p for p, q in maps[2 * n].items()}
+            d = terms[n] = Perm._trusted(_product(a_inv, maps[2 * n + 1]))
+        return d
+
+    return NullSequence(gen=quotient, mover_bound=lambda m: bounds.get(m, 0), length=len(terms))
+
+
 def null_sequence_from_json(obj) -> NullSequence:
     """A driving sequence: {"kind": "transpositions"} for the built-in
     family, {"kind": "explicit", "perms": [...], "moverBound": [[m, K], ...]}
@@ -183,10 +274,10 @@ def null_sequence_from_json(obj) -> NullSequence:
     answers the mover bound of only the points its moverBound lists; a
     Cauchy prefix gives 0 for a point that no quotient moves.
 
-    A Cauchy prefix's "c" is read in one pass (see perm._quotients), which
-    checks every member, c[i] named in front of its error, before it
-    raises the NotNull of an odd length or of a collapsing pair, which
-    carries no field path."""
+    A Cauchy prefix's "c" is read in one pass (see _cauchy), which checks
+    every member, c[i] named in front of its error, before it raises the
+    NotNull of an odd length or of a collapsing pair, which carries no
+    field path."""
     kind = _object(obj).get("kind")
     if kind == "explicit":
         table = {**_KIND, "perms": ("perms", partial(_each, check=_moves)),
@@ -194,15 +285,7 @@ def null_sequence_from_json(obj) -> NullSequence:
         _, perms, bounds = _fields(obj, table)
         return NullSequence.explicit([Perm._trusted(moves) for moves in perms], bounds)
     if kind == "cauchy":
-        c = _fields(obj, {**_KIND, "c": ("c", _list)})[1]
-
-        def checked(i: int) -> dict[int, int]:
-            try:
-                return _moves(c[i])
-            except ValueError as exc:
-                raise _at(exc, f".c[{i}]")
-
-        return _quotients(c, checked)
+        return _cauchy(_fields(obj, {**_KIND, "c": ("c", _list)})[1])
     if kind == "transpositions":
         _fields(obj, _KIND)
         return NullSequence.transpositions()

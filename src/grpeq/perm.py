@@ -3,6 +3,8 @@
 Everything here is exact. Permutations are finite mappings, the metric is a
 dyadic rational, and null sequences carry an explicit mover bound so that
 "every later term fixes m" is checkable rather than merely semi-decidable.
+Reading a sequence from its JSON form, a Cauchy prefix's quotients among
+them, is grpeq.load's part.
 """
 
 from __future__ import annotations
@@ -300,110 +302,6 @@ class NullSequence:
         return cls(gen=lambda n: terms[n], mover_bound=lookup, length=len(terms))
 
 
-def cauchy_to_null(c: Sequence[Perm]) -> NullSequence:
-    """Turn a Cauchy sequence prefix into a null sequence of quotients.
-
-    Term n is inverse(c[2n]) composed with c[2n+1].  Consecutive pair members
-    must differ, otherwise some quotient is the identity and the result
-    cannot converge to the identity through non-identity terms.
-
-    Term n moves m exactly when c[2n](m) != c[2n+1](m), and only points
-    that a member of the pair moves can differ.  So one pass over each
-    pair's moved points gives the mover bound of every point (one past the
-    last pair that moves it, 0 when no pair does), without composing
-    anything; a pair collapses when its two maps are equal.  Term n is
-    built from the two maps the first time it is fetched, and kept for
-    later fetches.  The pass is the one a loaded prefix goes through (see
-    _quotients), with each member's map taken as it is.
-    """
-    maps = [p._map for p in c]
-    return _quotients(maps, maps.__getitem__)
-
-
-def _quotients(c: list, checked: Callable[[int], dict[int, int]]) -> NullSequence:
-    """cauchy_to_null on the members of c, in one loop over their pairs.
-
-    A member that is plainly a permutation with no fixed points, a list of
-    pairs of two ints, each point a natural other than its image, no point
-    twice and the images the points again, is read in the loop, its map
-    and inverse built pair by pair.  For any other member c[i], checked(i)
-    gives its moves or raises: it applies _checked_moves, the one
-    validation rule, or gives the map of a trusted member.  The second
-    member of a pair is compared with the first as it is read.  Every
-    member is read before a NotNull is raised: an odd length first, then
-    the first pair that collapses.
-    """
-    maps: list[dict[int, int]] = []  # the moves of c[0], c[1], ...
-    bounds: dict[int, int] = {}
-    collapsed = None
-    pairs = iter(c)
-    for n, (x, y) in enumerate(zip(pairs, pairs)):
-        a = None
-        if type(x) is list:
-            a, inv = {}, {}
-            try:
-                for p, q in x:
-                    if type(p) is not int or type(q) is not int or p < 0 or p == q:
-                        a = None
-                        break
-                    a[p] = q
-                    inv[q] = p
-            except (TypeError, ValueError):  # a pair that is not two values
-                a = None
-            if a is not None and not (len(a) == len(x) and a.keys() == inv.keys()):
-                a = None
-        if a is None:
-            a = checked(2 * n)
-        # as for x, and each point where b differs from a is recorded
-        b, bound, get = None, n + 1, a.get
-        if type(y) is list:
-            b, inv = {}, {}
-            try:
-                for p, q in y:
-                    if type(p) is not int or type(q) is not int or p < 0 or p == q:
-                        b = None
-                        break
-                    b[p] = q
-                    inv[q] = p
-                    if get(p, p) != q:
-                        bounds[p] = bound
-            except (TypeError, ValueError):
-                b = None
-            if b is not None and not (len(b) == len(y) and b.keys() == inv.keys()):
-                b = None
-        if b is None:  # the loop may have stopped early, so all of b is compared
-            b = checked(2 * n + 1)
-            for p, q in b.items():
-                if get(p, p) != q:
-                    bounds[p] = bound
-        # maps with no fixed points are equal exactly when the members are
-        if collapsed is None and a == b:
-            collapsed = n
-        for m in a:
-            if m not in b:  # b fixes m and a moves it
-                bounds[m] = bound
-        maps += a, b
-    if len(c) % 2:
-        checked(len(c) - 1)
-        raise NotNull(f"cauchy prefix has odd length {len(c)}: c[{len(c) - 1}] has no partner")
-    if collapsed is not None:
-        raise NotNull(f"pair {collapsed} collapses: c[{2 * collapsed}] equals c[{2 * collapsed + 1}]")
-    terms: list[Optional[Perm]] = [None] * (len(maps) // 2)
-
-    def quotient(n: int) -> Perm:
-        d = terms[n]
-        if d is None:
-            a_inv = {q: p for p, q in maps[2 * n].items()}
-            d = terms[n] = Perm._trusted(_product(a_inv, maps[2 * n + 1]))
-        return d
-
-    return NullSequence(
-        gen=quotient,
-        mover_bound=lambda m: bounds.get(m, 0),
-        length=len(terms),
-    )
-
-
 @dataclass(frozen=True)
 class Structure:
     """A decidable automorphism test over the naturals.
@@ -434,10 +332,3 @@ MATCHING_STRUCTURE = Structure(
     check_window=_matching_check_window,
 )
 
-
-def structure_by_name(name: str) -> Structure:
-    if name == "trivial":
-        return TRIVIAL_STRUCTURE
-    if name == "matching":
-        return MATCHING_STRUCTURE
-    raise ValueError(f"unknown structure {name!r}")

@@ -43,35 +43,37 @@ class WordSeq:
     trivial_from: Optional[int] = None
 
 
-NuLike = Union[Callable[[int], int], Sequence[int]]
-
-
-def nu_at(nu: NuLike, n: int) -> int:
-    """Entry n of an exponent sequence; list inputs are zero beyond the end."""
-    if callable(nu):
-        return nu(n)
+def nu_at(nu: Sequence[int], n: int) -> int:
+    """Entry n of an exponent prefix, zero beyond its end."""
     return nu[n] if n < len(nu) else 0
 
 
-def nu_words(nu: NuLike) -> WordSeq:
+def nu_words(nu: Union[Callable[[int], int], Sequence[int]]) -> WordSeq:
     """The word sequence driven by an exponent sequence: word n is
     x1 y1^nu(n), read as the trivial word y1 when nu(n) = 0.
 
     A list is copied, and its words are declared trivial from its length
     on; a callable declares nothing, so a list that grows after the call
     is passed as a callable view of it."""
-    trivial_from = None
-    if not callable(nu):
-        nu = tuple(nu)
-        trivial_from = len(nu)
+    if callable(nu):
+
+        def gen(n: int) -> int:
+            t = nu(n)
+            if t < 0:
+                raise ValueError("exponent entries must be naturals")
+            return t
+
+        return WordSeq(gen=gen)
+    entries = tuple(nu)
+    size = len(entries)
 
     def gen(n: int) -> int:
-        t = nu_at(nu, n)
+        t = entries[n] if n < size else 0
         if t < 0:
             raise ValueError("exponent entries must be naturals")
         return t
 
-    return WordSeq(gen=gen, trivial_from=trivial_from)
+    return WordSeq(gen=gen, trivial_from=size)
 
 
 _SHOWN_LIMIT = 100
@@ -84,20 +86,14 @@ def shown(value) -> str:
     return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
-def random_sparse_nu_prefix(
-    rng,
-    *,
-    span: int = 20,
-    max_positions: int = 4,
-    max_exp: int = 3,
-    length: int = 24,
-) -> list[int]:
-    """A random exponent prefix that stays easy to obey: a handful of nonzero
-    entries inside the span, zeros elsewhere, and a zero tail beyond the
-    prefix.  The zero stretches are what witness searches feed on."""
+def random_sparse_nu_prefix(rng, *, span: int = 20, length: int = 24) -> list[int]:
+    """A random exponent prefix that stays easy to obey: one to four nonzero
+    entries inside the span, each 1 to 3, zeros elsewhere, and a zero tail
+    beyond the prefix.  The zero stretches are what witness searches feed
+    on."""
     if length <= span:
         raise ValueError("length must exceed span so the tail stretch exists")
     entries = [0] * length
-    for p in rng.sample(range(span), rng.randint(1, max_positions)):
-        entries[p] = rng.randint(1, max_exp)
+    for p in rng.sample(range(span), rng.randint(1, 4)):
+        entries[p] = rng.randint(1, 3)
     return entries

@@ -1,6 +1,8 @@
 """Command line behavior: reports, exit codes, byte determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -24,6 +26,8 @@ from grpeq.load import (
 )
 from grpeq.perm import NoBound
 from grpeq.scale import ObeysSegment
+
+from test_perm_oracle import DEFECTS, T01, T12, T23, cauchy_prefixes, inject
 
 
 def run(capsys, argv):
@@ -455,6 +459,38 @@ def test_solve_rejects_malformed_dseq(tmp_path, capsys, d_obj):
     assert code == 1
     assert out == ""
     assert one_error_line(err)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    c=cauchy_prefixes(width=6, max_terms=6),
+    defects=st.lists(st.tuples(st.sampled_from(DEFECTS), st.booleans()), min_size=1, max_size=2),
+)
+@example(c=[T01, T01, T12, T23], defects=[("duplicate", True)])
+@example(c=[T01, T01, T12, T23], defects=[("odd", False)])
+def test_defective_cauchy_file_is_one_error_line(tmp_path_factory, c, defects):
+    # the defects of the loader's oracle test, each in a --d file: the run
+    # ends in one error line naming the file, and exits 4 exactly for a
+    # sequence that is not null (an odd length or a collapsing pair)
+    c = list(c)
+    for defect, late in defects:
+        if defect != "odd":
+            inject(c, defect, late)
+    if any(defect == "odd" for defect, _ in defects):
+        c.pop()
+    base = tmp_path_factory.getbasetemp()
+    d = write_json(base / "defective-cauchy.json", {"kind": "cauchy", "c": c})
+    nu = write_json(base / "defective-cauchy-nu.json", {"prefix": [1], "tail": "zero"})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--d", d, "--nu", nu])  # an exception escaping main fails here
+    out, err = out.getvalue(), err.getvalue()
+    assert out == ""
+    assert err.startswith(f"error: {d}: ") and err.count("\n") == 1 and err.endswith("\n")
+    message = err[len(f"error: {d}: "):]
+    not_null = message.startswith("cauchy prefix has odd length ") or (
+        message.startswith("pair ") and " collapses: " in message)
+    assert code == (4 if not_null else 1)
 
 
 @pytest.mark.parametrize("option", ["solve --nu", "solve --d", "diagonalize --scale",

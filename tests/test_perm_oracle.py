@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json, read
-from grpeq.perm import IDENTITY, NoBound, NotNull, NullSequence, Perm, cauchy_to_null, compose
+from grpeq.perm import IDENTITY, NoBound, NotNull, NullSequence, Perm, compose
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -87,6 +87,12 @@ def reference(c):
     return terms, bounds
 
 
+def load_cauchy(c):
+    """The null sequence of a Cauchy prefix of Perms, loaded from its JSON form."""
+    c = [[[m, p.apply(m)] for m in p.support()] for p in c]
+    return null_sequence_from_json({"kind": "cauchy", "c": c})
+
+
 def outcome(fn):
     try:
         return fn(), None, None
@@ -121,20 +127,17 @@ def cauchy_prefixes(draw, width=30, max_terms=12):
 def test_loader_matches_eager_reference(c, data):
     terms, bounds = reference(c)
     top = max((m for d in terms for m in d), default=0) + 2
-    for d in (
-        null_sequence_from_json({"kind": "cauchy", "c": c}),
-        cauchy_to_null([Perm.from_pairs(p) for p in c]),
-    ):
-        assert d.length == len(terms)
-        order = data.draw(st.lists(st.integers(0, len(terms) - 1), max_size=3 * len(terms)))
-        for n in order + list(range(len(terms))):
-            got = d.perm(n)
-            assert got == Perm(terms[n])
-            assert d.perm(n) is got  # built once, then kept
-            for m in range(top):
-                assert got.inverse_apply(got.apply(m)) == m
-        for m in range(top + 1):
-            assert d.mover_bound(m) == bounds.get(m, 0)
+    d = null_sequence_from_json({"kind": "cauchy", "c": c})
+    assert d.length == len(terms)
+    order = data.draw(st.lists(st.integers(0, len(terms) - 1), max_size=3 * len(terms)))
+    for n in order + list(range(len(terms))):
+        got = d.perm(n)
+        assert got == Perm(terms[n])
+        assert d.perm(n) is got  # built once, then kept
+        for m in range(top):
+            assert got.inverse_apply(got.apply(m)) == m
+    for m in range(top + 1):
+        assert d.mover_bound(m) == bounds.get(m, 0)
 
 
 DEFECTS = ["duplicate", "repeat", "negative", "non-permutation", "collapse", "odd", "not-a-list",
@@ -214,6 +217,9 @@ def test_defects_raise_as_the_eager_reference(c, defects):
         ([[[0, 1.0], [1, 0]], []], "points must be naturals"),
         ([[[0, 1], [1, 0]], [[0, True], [1, 0]]], "c[1]: points must be naturals"),
         ([T01, T01, T23], "cauchy prefix has odd length 3: c[2] has no partner"),
+        # the member without a partner is checked too, before the odd length
+        ([T01, T01, [[0, 1]]], "c[2]: mapping is not a permutation of its support"),
+        ([[[0, 1]]], "mapping is not a permutation of its support"),
     ],
 )
 def test_checks_keep_their_order(tmp_path, c, message):

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json
-from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null
+from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix
 from grpeq.scale import _Extension, _next_scale_entry, build_scale
 from grpeq.solver import LimitAutomorphism, verify_solution
 from grpeq.words import nu_words
+
+from test_perm_oracle import load_cauchy
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -105,7 +107,7 @@ def test_explicit_prefixes_match_reference(terms, slack, budget, extra):
 def test_cauchy_prefixes_match_reference(c, budget):
     c = c[: len(c) // 2 * 2]
     assume(all(c[2 * n] != c[2 * n + 1] for n in range(len(c) // 2)))
-    d = cauchy_to_null(c)
+    d = load_cauchy(c)
     count = len(c) // 2 + 3
     assert incremental(d, budget, count) == reference(d, budget, count)
 
@@ -147,7 +149,7 @@ def test_undeclared_mover_bound_fails_at_the_same_entry():
 def test_out_of_order_reads_match_prefix(c, order):
     # 45 terms: entry 40 needs terms 0 .. 39
     assume(all(c[2 * n] != c[2 * n + 1] for n in range(45)))
-    d = cauchy_to_null(c)
+    d = load_cauchy(c)
     s = build_scale(d, 1, 1)
     got = {n: s.value(n) for n in order}
     assert [got[n] for n in range(41)] == build_scale(d, 1, 41).prefix(41)

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq.cli import _sufficient_depth
-from grpeq.perm import IDENTITY, NoBound, NullSequence, Perm, ShortPrefix, cauchy_to_null, compose
+from grpeq.perm import IDENTITY, NoBound, NullSequence, Perm, ShortPrefix, compose
 from grpeq.scale import (
     NotObeying,
     ObeysSegment,
@@ -49,6 +49,8 @@ from grpeq.solver import (
     verify_solution,
 )
 from grpeq.words import WordSeq, nu_at, nu_words, random_sparse_nu_prefix
+
+from test_perm_oracle import load_cauchy
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -109,7 +111,7 @@ def cauchy_sequence(seed, terms):
     for n in range(terms):
         base = near_cycle(n, 2, rng)
         c += [base, compose(base, near_cycle(n, rng.choice((2, 3)), rng))]
-    return cauchy_to_null(c)
+    return load_cauchy(c)
 
 
 def driving_sequence(kind, seed, terms=200):
