@@ -68,9 +68,6 @@ class FreeElem:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
-
     def inverse(self) -> "FreeElem":
         return FreeElem(_inverse(self.letters))
 
@@ -109,7 +106,10 @@ def _product(a: Syllables, b: Syllables) -> Syllables:
 
 
 def _cyclic_split(syl: Syllables) -> tuple[Syllables, Syllables]:
-    """The syllables of u and core in cyclic_reduce."""
+    """The syllables of u and core when the word syl is split as
+    u * core * u^-1 with the core cyclically reduced and the product reduced
+    as written.  The split is unique in a free group.  End syllables that
+    cancel move to u by the shorter one's whole exponent."""
     syl = list(syl)
     lo, hi = 0, len(syl) - 1
     conj = []
@@ -123,14 +123,6 @@ def _cyclic_split(syl: Syllables) -> tuple[Syllables, Syllables]:
         lo += syl[lo][1] == 0
         hi -= syl[hi][1] == 0
     return tuple(conj), tuple(syl[lo : hi + 1])
-
-
-def cyclic_reduce(g: FreeElem) -> tuple[FreeElem, FreeElem]:
-    """Split g as u * core * u^-1 with the core cyclically reduced and the
-    product reduced as written.  The split is unique in a free group.  End
-    syllables that cancel move to u by the shorter one's whole exponent."""
-    u, core = _cyclic_split(g.letters)
-    return FreeElem(u), FreeElem(core)
 
 
 def _power_form(syl: Syllables) -> tuple[Syllables, Syllables, int]:

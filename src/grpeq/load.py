@@ -270,7 +270,7 @@ def null_sequence_from_json(obj) -> NullSequence:
     family, {"kind": "explicit", "perms": [...], "moverBound": [[m, K], ...]}
     for a declared prefix, or {"kind": "cauchy", "c": [...]} for the
     quotients of a Cauchy prefix.  Permutations are [point, image] pair
-    lists, each checked as Perm.from_pairs checks it.  An explicit prefix
+    lists, each checked by the rule behind Perm(mapping).  An explicit prefix
     answers the mover bound of only the points its moverBound lists; a
     Cauchy prefix gives 0 for a point that no quotient moves.
 

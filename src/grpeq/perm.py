@@ -33,7 +33,8 @@ class ShortPrefix(IndexError):
 
 def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
     """The moves of the map given by (point, image) pairs, fixed points
-    dropped: the one validation rule behind Perm and Perm.from_pairs.
+    dropped: the one validation rule behind Perm and grpeq.load's pair
+    lists.
 
     Checks come in a fixed order: a duplicate point anywhere, then a point
     that is not a natural (booleans, floats and strings included), then a
@@ -70,63 +71,45 @@ def _checked_moves(pairs: Iterable[Sequence[int]]) -> dict[int, int]:
 class Perm:
     """A permutation of the naturals moving only finitely many points.
 
-    Fixed points are never stored, so two values are equal exactly when they
-    are equal as functions.  Instances are immutable and hashable.
+    One map holds the moves, and fixed points are never stored, so two
+    values are equal exactly when they are equal as functions.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("_map", "_inv")
+    __slots__ = ("_map",)
 
     def __init__(self, mapping: Optional[dict[int, int]] = None):
-        moves = _checked_moves(mapping.items()) if mapping else {}
-        object.__setattr__(self, "_map", moves)
-        object.__setattr__(self, "_inv", {v: k for k, v in moves.items()})
+        object.__setattr__(self, "_map", _checked_moves(mapping.items()) if mapping else {})
 
     @classmethod
-    def _trusted(cls, moves: dict[int, int], inv: Optional[dict[int, int]] = None) -> "Perm":
+    def _trusted(cls, moves: dict[int, int]) -> "Perm":
         """A Perm on moves, which must already be a permutation of its
-        support with no fixed points; nothing is revalidated.  inv, when
-        given, must be the inverse map (moves itself for an involution)."""
+        support with no fixed points; nothing is revalidated."""
         p = object.__new__(cls)
         object.__setattr__(p, "_map", moves)
-        object.__setattr__(p, "_inv", {v: k for k, v in moves.items()} if inv is None else inv)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
-    @classmethod
-    def transposition(cls, a: int, b: int) -> "Perm":
-        if a == b:
-            raise ValueError("transposition needs two distinct points")
-        return cls({a: b, b: a})
-
-    @classmethod
-    def from_cycle(cls, points: Sequence[int]) -> "Perm":
-        if len(set(points)) != len(points):
-            raise ValueError("cycle points must be distinct")
-        if len(points) < 2:
-            return cls()
-        mapping = {points[i]: points[(i + 1) % len(points)] for i in range(len(points))}
-        return cls(mapping)
-
     def apply(self, m: int) -> int:
         return self._map.get(m, m)
 
     def inverse_apply(self, m: int) -> int:
-        return self._inv.get(m, m)
+        """The point before m on its cycle, found by walking the cycle: no
+        inverse map is kept."""
+        moves = self._map
+        prev, nxt = m, moves.get(m, m)
+        while nxt != m:
+            prev, nxt = nxt, moves[nxt]
+        return prev
 
     def images(self, points: Sequence[int]) -> list[int]:
         """[self.apply(m) for m in points], in one pass at C speed."""
         return list(map(self._map.get, points, points))
 
     def inverse(self) -> "Perm":
-        inv = Perm()
-        object.__setattr__(inv, "_map", dict(self._inv))
-        object.__setattr__(inv, "_inv", dict(self._map))
-        return inv
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
+        return Perm._trusted({v: k for k, v in self._map.items()})
 
     @property
     def is_identity(self) -> bool:
@@ -134,10 +117,6 @@ class Perm:
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._map))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "Perm":
-        return cls._trusted(_checked_moves(pairs))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -252,8 +231,7 @@ class NullSequence:
 
         Term k moves only {2k, 2k+1}, so every k >= m//2 + 1 fixes m.  A
         term is a transposition by construction (perm() rejects n < 0), so
-        it is built trusted, as compose builds its products, with one map
-        for itself and its inverse.
+        it is built trusted, as compose builds its products.
 
         The sequence declares gap_decides: every term sends a point m < j_n
         to at most m + 1 <= j_n, and its mover bound m//2 + 1 is at most
@@ -261,8 +239,7 @@ class NullSequence:
         """
 
         def term(n: int) -> Perm:
-            moves = {2 * n: 2 * n + 1, 2 * n + 1: 2 * n}
-            return Perm._trusted(moves, moves)
+            return Perm._trusted({2 * n: 2 * n + 1, 2 * n + 1: 2 * n})
 
         d = cls(gen=term, mover_bound=lambda m: m // 2 + 1, length=None)
         d.gap_decides = True

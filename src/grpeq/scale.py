@@ -139,8 +139,11 @@ class _Extension:
     n, so a short driving prefix fails at the same entry as the direct rule;
     then it folds in the mover bounds of the points below j_n not yet seen;
     then it releases from the pending heap every moved point of a fetched
-    term that j_n has passed.  A call that raises leaves the state
-    consistent, so a retried read raises the same error.
+    term that j_n has passed.  Each move m -> q of a term pushes (m, q + 1)
+    and (q, m + 1), so a moved point x enters as p(x) + 1 and p^-1(x) + 1
+    under the one key x, both released together, and no inverse is read.
+    A call that raises leaves the state consistent, so a retried read
+    raises the same error.
     """
 
     def __init__(self, d: NullSequence, budget: int):
@@ -151,7 +154,7 @@ class _Extension:
         self._reach = 0  # max(p(m), p^-1(m)) + 1 over released moved points
         self._bounded = 0  # mover bounds of points below this are in _mover
         self._mover = 0
-        self._pending: list[tuple[int, int]] = []  # (moved point, its reach)
+        self._pending: list[tuple[int, int]] = []  # (x, p(x) + 1), (x, p^-1(x) + 1)
 
     def __call__(self, n: int) -> int:
         entries = self.entries
@@ -166,8 +169,10 @@ class _Extension:
             self._mover = max(self._mover, self._d.mover_bound(self._bounded))
             self._bounded += 1
         self._terms += 1
-        for m in p.support():
-            heapq.heappush(self._pending, (m, max(p.apply(m), p.inverse_apply(m)) + 1))
+        moved = p.support()
+        for m, q in zip(moved, p.images(moved)):
+            heapq.heappush(self._pending, (m, q + 1))
+            heapq.heappush(self._pending, (q, m + 1))
         while self._pending and self._pending[0][0] < jn:
             self._reach = max(self._reach, heapq.heappop(self._pending)[1])
         return max(jn + self._budget + 1, self._reach, self._mover)

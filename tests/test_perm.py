@@ -18,6 +18,7 @@ from grpeq.perm import (
     metric,
 )
 
+from build_perms import cycle, transposition
 from test_perm_oracle import load_cauchy
 
 
@@ -29,7 +30,7 @@ def random_perm(rng, max_support=8, universe=20):
 
 
 def test_apply_examples():
-    f = Perm.transposition(2, 3)
+    f = transposition(2, 3)
     assert f.apply(2) == 3
     assert f.apply(3) == 2
     assert f.apply(7) == 7
@@ -37,7 +38,7 @@ def test_apply_examples():
 
 
 def test_inverse_apply_cycle():
-    c = Perm.from_cycle([0, 1, 2])
+    c = cycle([0, 1, 2])
     assert c.apply(0) == 1 and c.apply(1) == 2 and c.apply(2) == 0
     assert c.inverse_apply(0) == 2
 
@@ -55,8 +56,8 @@ def test_non_permutation_rejected():
 
 
 def test_compose_examples():
-    f = Perm.transposition(0, 1)
-    g = Perm.transposition(1, 2)
+    f = transposition(0, 1)
+    g = transposition(1, 2)
     assert compose(f, g) == Perm({0: 1, 1: 2, 2: 0})
     assert compose(f, f) == IDENTITY
     assert compose(f, IDENTITY) == f
@@ -86,9 +87,9 @@ def test_group_laws_random():
 
 
 def test_metric_examples():
-    assert metric(IDENTITY, Perm.transposition(0, 1)) == Fraction(1)
-    assert metric(Perm.transposition(2, 3), Perm.transposition(4, 5)) == Fraction(1, 4)
-    f = Perm.transposition(2, 3)
+    assert metric(IDENTITY, transposition(0, 1)) == Fraction(1)
+    assert metric(transposition(2, 3), transposition(4, 5)) == Fraction(1, 4)
+    f = transposition(2, 3)
     assert metric(f, f) == Fraction(0)
 
 
@@ -121,23 +122,23 @@ def test_metric_composition_continuity_witness():
     N = 4
     relevant = [g.apply(m) for m in range(N)] + list(range(N))
     N_prime = max(relevant) + 1
-    f = Perm.transposition(N_prime, N_prime + 1)
-    f_alt = Perm.transposition(N_prime + 2, N_prime + 3)
+    f = transposition(N_prime, N_prime + 1)
+    f_alt = transposition(N_prime + 2, N_prime + 3)
     assert metric(f, f_alt) <= Fraction(1, 2**N_prime)
     assert metric(compose(f, g), compose(f_alt, g)) <= Fraction(1, 2**N)
 
 
 def test_cauchy_to_null_example():
     c = [
-        Perm.transposition(0, 1),
-        compose(Perm.transposition(0, 1), Perm.transposition(2, 3)),
-        Perm.transposition(2, 3),
-        compose(Perm.transposition(2, 3), Perm.transposition(4, 5)),
+        transposition(0, 1),
+        compose(transposition(0, 1), transposition(2, 3)),
+        transposition(2, 3),
+        compose(transposition(2, 3), transposition(4, 5)),
     ]
     d = load_cauchy(c)
     assert d.length == 2
-    assert d.perm(0) == Perm.transposition(2, 3)
-    assert d.perm(1) == Perm.transposition(4, 5)
+    assert d.perm(0) == transposition(2, 3)
+    assert d.perm(1) == transposition(4, 5)
     assert d.mover_bound(2) == 1
     assert d.mover_bound(4) == 2
     assert d.mover_bound(17) == 0
@@ -147,14 +148,14 @@ def test_cauchy_to_null_example():
 
 
 def test_cauchy_rejects_collapsing_pair():
-    t = Perm.transposition(0, 1)
+    t = transposition(0, 1)
     with pytest.raises(NotNull):
         load_cauchy([t, t])
 
 
 def test_explicit_validates_bounds_and_terms():
-    t01 = Perm.transposition(0, 1)
-    t23 = Perm.transposition(2, 3)
+    t01 = transposition(0, 1)
+    t23 = transposition(2, 3)
     d = NullSequence.explicit([t01, t23], [[0, 1], [1, 1], [2, 2], [3, 2]])
     assert d.perm(1) == t23
     assert d.mover_bound(0) == 1
@@ -168,15 +169,16 @@ def test_explicit_validates_bounds_and_terms():
 
 def test_transpositions_family_shape():
     d = NullSequence.transpositions()
-    assert d.perm(0) == Perm.transposition(0, 1)
-    assert d.perm(5) == Perm.transposition(10, 11)
+    assert d.perm(0) == transposition(0, 1)
+    assert d.perm(5) == transposition(10, 11)
     for m in range(30):
         assert d.mover_bound(m) == m // 2 + 1
     # terms are built trusted; each must equal the checked constructor's
     for n in range(500):
         term = d.perm(n)
-        assert term == Perm.transposition(2 * n, 2 * n + 1)
-        assert term._inv == term._map
+        assert term == transposition(2 * n, 2 * n + 1)
+        # an involution: each point's preimage is its image
+        assert all(term.inverse_apply(m) == term.apply(m) for m in (2 * n, 2 * n + 1))
     with pytest.raises(IndexError):
         d.perm(-1)
 
@@ -187,8 +189,8 @@ def preserves_matching(f):
 
 
 def test_matching_structure_examples():
-    edge_swap = Perm.transposition(0, 1)
-    across = Perm.transposition(1, 2)
+    edge_swap = transposition(0, 1)
+    across = transposition(1, 2)
     assert preserves_matching(edge_swap)
     assert not preserves_matching(across)
     assert preserves_matching(IDENTITY)
@@ -212,14 +214,14 @@ def test_matching_closed_under_group_ops():
 def test_matching_window_check():
     f = Perm({0: 2, 1: 3, 2: 0, 3: 1})
     assert MATCHING_STRUCTURE.check_window(f.apply, 4)
-    g = Perm.transposition(1, 2)
+    g = transposition(1, 2)
     assert not MATCHING_STRUCTURE.check_window(g.apply, 4)
     assert TRIVIAL_STRUCTURE.check_window(g.apply, 4)
 
 
 def test_null_sequence_from_json():
     d = null_sequence_from_json({"kind": "transpositions"})
-    assert d.perm(1) == Perm.transposition(2, 3)
+    assert d.perm(1) == transposition(2, 3)
     d2 = null_sequence_from_json(
         {
             "kind": "explicit",
@@ -227,13 +229,13 @@ def test_null_sequence_from_json():
             "moverBound": [[4, 1], [5, 1]],
         }
     )
-    assert d2.perm(0) == Perm.transposition(4, 5)
+    assert d2.perm(0) == transposition(4, 5)
     d3 = null_sequence_from_json(
         {
             "kind": "cauchy",
             "c": [[[0, 1], [1, 0]], [[0, 1], [1, 0], [2, 3], [3, 2]]],
         }
     )
-    assert d3.perm(0) == Perm.transposition(2, 3)
+    assert d3.perm(0) == transposition(2, 3)
     with pytest.raises(ValueError):
         null_sequence_from_json({"kind": "nope"})

@@ -1,5 +1,5 @@
-"""The Cauchy loader, the explicit prefix's bound check and the trusted
-compose against plain-dict references.
+"""The Cauchy loader, the explicit prefix's bound check, the trusted
+compose and inverse_apply's cycle walk against plain-dict references.
 
 null_sequence_from_json reads a Cauchy prefix into plain maps, takes the
 mover bounds and the collapse check from c[2n](m) != c[2n+1](m), and builds
@@ -285,7 +285,7 @@ def test_explicit_bounds_match_the_per_point_scan(prefix):
 
 
 def perms(width=12):
-    return pair_list(width).map(Perm.from_pairs)
+    return pair_list(width).map(lambda pairs: Perm(dict(pairs)))
 
 
 @ORACLE
@@ -294,7 +294,28 @@ def test_compose_group_laws(f, g, h):
     fg = compose(f, g)
     assert fg._map == dict_compose(f._map, g._map)
     assert all(k != v for k, v in fg._map.items())
-    assert fg._inv == {v: k for k, v in fg._map.items()}
+    inv = {v: k for k, v in fg._map.items()}
+    for m in fg.support() + (0, 12, 13, 100):
+        assert fg.inverse_apply(m) == inv.get(m, m)
     assert compose(fg, h) == compose(f, compose(g, h))
     assert compose(f, f.inverse()) == IDENTITY == compose(f.inverse(), f)
     assert compose(f, IDENTITY) == f == compose(IDENTITY, f)
+
+
+@st.composite
+def long_cycles(draw, width=400):
+    """(perm, its inverse as a plain dict): one cycle through up to 200
+    points, or a random permutation of them, built from the drawn images."""
+    pts = draw(st.permutations(range(width)))[: draw(st.integers(0, 200))]
+    images = pts[1:] + pts[:1] if draw(st.booleans()) else draw(st.permutations(pts))
+    return Perm(dict(zip(pts, images))), {q: p for p, q in zip(pts, images)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=long_cycles())
+def test_inverse_apply_walks_the_cycle(case):
+    p, inv = case
+    for m in list(inv) + [400, 401]:
+        assert p.inverse_apply(m) == inv.get(m, m)
+        assert p.inverse_apply(p.apply(m)) == m
+    assert p.inverse()._map == {m: q for m, q in inv.items() if m != q}

@@ -13,6 +13,7 @@ an undeclared copy of the sequence; each Scale lists only its own reads.
 
 import functools
 import gc
+import random
 import tracemalloc
 import weakref
 
@@ -20,11 +21,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grpeq.load import null_sequence_from_json
-from grpeq.perm import NoBound, NullSequence, Perm, ShortPrefix
-from grpeq.scale import _Extension, _next_scale_entry, build_scale
+from grpeq.perm import IDENTITY, NoBound, NullSequence, ShortPrefix
+from grpeq.scale import _Extension, _next_scale_entry, build_scale, verify_scale
 from grpeq.solver import LimitAutomorphism, verify_solution
 from grpeq.words import nu_words
 
+from build_perms import cycle, transposition
 from test_perm_oracle import load_cauchy
 
 ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -60,7 +62,7 @@ def builtin_entries(budget):
 def cycles(width):
     """A random cycle on distinct points below width."""
     return st.lists(st.integers(0, width - 1), min_size=2, max_size=6, unique=True).map(
-        Perm.from_cycle
+        cycle
     )
 
 
@@ -112,8 +114,23 @@ def test_cauchy_prefixes_match_reference(c, budget):
     assert incremental(d, budget, count) == reference(d, budget, count)
 
 
+def test_long_cycle_terms_match_the_rule_and_verify_scale():
+    # a long cycle sends points below an entry far past it in both
+    # directions, so entries are decided by images and by preimages
+    rng = random.Random(31)
+    terms = [cycle(rng.sample(range(1, 240), 200)), cycle(rng.sample(range(100, 400), 150)),
+             transposition(0, 1)]
+    d = load_cauchy([member for p in terms for member in (IDENTITY, p)])
+    count = len(terms) + 1  # entry n + 1 fetches term n
+    for budget in (0, 1, 5):
+        got = incremental(d, budget, count + 1)
+        assert got == reference(d, budget, count + 1)
+        assert got[1] is ShortPrefix
+        assert verify_scale(d, build_scale(d, budget, count), count)
+
+
 def test_short_explicit_prefix_fails_at_the_same_entry():
-    d = NullSequence.explicit([Perm.transposition(0, 1)], [[0, 1], [1, 1]])
+    d = NullSequence.explicit([transposition(0, 1)], [[0, 1], [1, 1]])
     js, kind, message = incremental(d, 1, 5)
     assert (js, kind, message) == reference(d, 1, 5)
     assert js == [0, 2] and kind is ShortPrefix
@@ -130,7 +147,7 @@ def test_short_explicit_prefix_fails_at_the_same_entry():
 
 
 def test_undeclared_mover_bound_fails_at_the_same_entry():
-    terms = [Perm.transposition(2 * n, 2 * n + 1) for n in range(10)]
+    terms = [transposition(2 * n, 2 * n + 1) for n in range(10)]
     d = NullSequence.explicit(terms, [[0, 1], [1, 1]])
     js, kind, message = incremental(d, 1, 8)
     assert (js, kind, message) == reference(d, 1, 8)

@@ -9,7 +9,6 @@ from grpeq.perm import (
     MATCHING_STRUCTURE,
     TRIVIAL_STRUCTURE,
     NullSequence,
-    Perm,
     compose,
 )
 from grpeq.scale import build_scale, find_witness
@@ -22,6 +21,8 @@ from grpeq.solver import (
     verify_solution,
 )
 from grpeq.words import nu_words, random_sparse_nu_prefix
+
+from build_perms import cycle, transposition
 
 D = NullSequence.transpositions()
 
@@ -38,7 +39,7 @@ def test_approx_all_trivial_is_identity():
 
 def test_approx_golden_single_pulse():
     t = approx(D, nu_words([1]), 3)
-    assert t.row(0) == Perm.transposition(2, 3)
+    assert t.row(0) == transposition(2, 3)
     assert t.row(1) == IDENTITY
     assert t.row(2) == IDENTITY
     assert t.row(3) == IDENTITY
@@ -47,9 +48,9 @@ def test_approx_golden_single_pulse():
 def test_approx_golden_two_pulses():
     t = approx(D, nu_words([2, 1]), 5)
     # row 1 reads x1 y1 with x1 = d_2 and y1 = row 2 (identity)
-    assert t.row(1) == Perm.transposition(4, 5)
+    assert t.row(1) == transposition(4, 5)
     # row 0 reads x1 y1^2; the square of row 1 cancels
-    assert t.row(0) == Perm.transposition(2, 3)
+    assert t.row(0) == transposition(2, 3)
 
 
 def test_approx_rows_above_k_are_identity():
@@ -63,8 +64,8 @@ def test_approx_depends_on_truncation_below_stability():
     w = nu_words([1, 1])
     shallow = approx(D, w, 0).row(0)
     deeper = approx(D, w, 1).row(0)
-    assert shallow == Perm.transposition(2, 3)
-    assert deeper == compose(Perm.transposition(2, 3), Perm.transposition(4, 5))
+    assert shallow == transposition(2, 3)
+    assert deeper == compose(transposition(2, 3), transposition(4, 5))
     assert shallow != deeper
 
 
@@ -196,7 +197,7 @@ def test_truncation_only_reads_local_terms():
 
     def warped(n):
         if n == 0 or n > k + 1:
-            return Perm.from_cycle([3 * n, 3 * n + 1, 3 * n + 2])
+            return cycle([3 * n, 3 * n + 1, 3 * n + 2])
         return D.perm(n)
 
     alt = NullSequence(gen=warped, mover_bound=lambda m: max(m, 1), length=None)

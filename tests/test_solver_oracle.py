@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grpeq.cli import _sufficient_depth
-from grpeq.perm import IDENTITY, NoBound, NullSequence, Perm, ShortPrefix, compose
+from grpeq.perm import IDENTITY, NoBound, NullSequence, ShortPrefix, compose
 from grpeq.scale import (
     NotObeying,
     ObeysSegment,
@@ -50,6 +50,7 @@ from grpeq.solver import (
 )
 from grpeq.words import WordSeq, nu_at, nu_words, random_sparse_nu_prefix
 
+from build_perms import cycle
 from test_perm_oracle import load_cauchy
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -88,7 +89,7 @@ def outcome(fn, *args):
 def near_cycle(n, points, rng):
     """A cycle on distinct points near 2n, so the terms tend to the identity."""
     lo = max(0, 2 * n - 2)
-    return Perm.from_cycle(rng.sample(range(lo, lo + 6), points))
+    return cycle(rng.sample(range(lo, lo + 6), points))
 
 
 def explicit_sequence(seed, terms):
